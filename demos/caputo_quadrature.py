@@ -8,6 +8,8 @@ nearly quadratic for a close to n - 1.
 
 import math
 
+import numpy as np
+
 from fracsubst import Grid, caputo_power, caputo_substitution, caputo_substitution_sampled
 
 for alpha in (0.3, 0.8, 1.5):
@@ -34,9 +36,6 @@ print(f"\nstencil-sampled D^0.8 t^3 at t=1: {sampled:.8f} "
 
 # Non-uniform grids are fine for the quadrature itself; refining toward the
 # evaluation point pays off because that is where the weights concentrate.
-nodes = 1.0 - (1.0 - (1.0 / 512) * 0) * (1.0 - (0 / 512))  # placeholder overwritten below
-import numpy as np
-
 graded = 1.0 - np.linspace(0.0, 1.0, 513)[::-1] ** 2
 graded[0] = 0.0
 value = caputo_substitution(lambda x: 3 * x * x, 0.8, Grid(np.sort(graded)))

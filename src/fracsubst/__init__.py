@@ -7,6 +7,7 @@ from .assembly import AssembledRow, DerivativeTerm, FDEProblem, assemble_row, as
 from .caputo import (
     FracOrder,
     Grid,
+    SubstitutionOperator,
     caputo_substitution,
     caputo_substitution_sampled,
     riemann_liouville,
@@ -52,6 +53,7 @@ __all__ = [
     "SingularPivotError",
     "SolveResult",
     "Stencil",
+    "SubstitutionOperator",
     "UnknownIdentifierError",
     "assemble_row",
     "assemble_system",

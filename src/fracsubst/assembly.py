@@ -8,7 +8,8 @@ system is
 
     sum_{k=0..m} d_k y_k + p(x_m) y_m = f(x_m).
 
-The d_k are accumulated generically (stencil weight x trapezoid pair
+The d_k are sum_l q_l(x_m) times row m of the term's
+:class:`~.caputo.SubstitutionOperator` (stencil weight x trapezoid pair
 weight); the closed-form per-column coefficient lists that exist for
 first- and second-order stencils are reproduced by this construction and
 serve as test vectors only.
@@ -22,8 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .caputo import FracOrder
-from .stencils import central, node_weights
+from .caputo import FracOrder, SubstitutionOperator
 
 __all__ = [
     "DerivativeTerm",
@@ -82,7 +82,7 @@ class FDEProblem:
 
 @dataclass(frozen=True)
 class AssembledRow:
-    """Coefficients of one grid row: d_0..d_m, diagonal addend p_m, rhs f_m.
+    """Finite coefficients of one grid row: d_0..d_m, diagonal addend p_m, rhs f_m.
 
     ``degraded`` marks rows assembled with reduced-order fallback stencils
     (possible only for the first few rows of each derivative order).
@@ -97,83 +97,42 @@ class AssembledRow:
     def __post_init__(self):
         if self.d.shape != (self.m + 1,):
             raise ValueError("row m must carry exactly m+1 coefficients")
-        if not np.all(np.isfinite(self.d)):
-            raise ValueError(f"non-finite coefficients in row {self.m}")
+        if not (np.all(np.isfinite(self.d)) and math.isfinite(self.p_m) and math.isfinite(self.rhs)):
+            raise ValueError(f"non-finite coefficients, p or f in row {self.m}")
 
 
 def weight(alpha: float, n: int, k: int, m: int, h: float) -> float:
-    """Trapezoid pair weight ((m-k+1)h)**(n-a) - ((m-k)h)**(n-a).
+    """Trapezoid pair weight ((m-k+1)h)**(n-a) - ((m-k)h)**(n-a), n = ceil(a),
+    read from :attr:`SubstitutionOperator.weights`.
 
     Strictly positive; the weights telescope to (mh)**(n-a) over k = 1..m.
     """
     if not 1 <= k <= m:
         raise ValueError(f"pair index k={k} outside 1..{m}")
-    s = n - alpha
-    return ((m - k + 1) * h) ** s - ((m - k) * h) ** s
+    if n != math.ceil(alpha):
+        raise ValueError(f"n={n} is not ceil(alpha) for alpha={alpha}")
+    return float(SubstitutionOperator(alpha, h, m - k + 1).weights[m - k + 1])
 
 
-def _kahan_add(d: np.ndarray, comp: np.ndarray, idx, values) -> None:
-    y = values - comp[idx]
-    t = d[idx] + y
-    comp[idx] = (t - d[idx]) - y
-    d[idx] = t
-
-
-class _Assembler:
-    """Caches per-exponent power tables (j h)**(n-a) for rows up to M."""
-
-    def __init__(self, problem: FDEProblem, h: float, max_rows: int):
-        if h <= 0:
-            raise ValueError("step h must be positive")
-        self.problem = problem
-        self.h = float(h)
-        nodes = np.arange(max_rows + 1) * self.h
-        self.powers = {}
-        for term in problem.terms:
-            s = term.n - term.alpha
-            if s not in self.powers:
-                self.powers[s] = nodes**s
-
-    def row(self, m: int) -> AssembledRow:
-        if m < 1:
-            raise ValueError("rows are assembled for m >= 1")
-        h = self.h
+def _assemble(problem: FDEProblem, h: float, ms: range) -> list[AssembledRow]:
+    ops = [(term.coefficient, SubstitutionOperator(term.alpha, h, ms[-1])) for term in problem.terms]
+    work = np.empty(ms[-1] + 1)  # one buffer for every row keeps the heap unfragmented
+    rows = []
+    for m in ms:
         t = m * h
-        d = np.zeros(m + 1)
-        comp = np.zeros(m + 1)
+        work[: m + 1] = 0.0
         degraded = False
-        for term in self.problem.terms:
-            n = term.n
-            s = n - term.alpha
-            pw = self.powers[s]
-            # phi_k = pw[m-k+1] - pw[m-k]; rev[i] = phi_{i+1}
-            rev = (pw[1 : m + 1] - pw[:m])[::-1]
-            pair = np.empty(m + 1)
-            pair[0] = rev[0]
-            pair[m] = rev[m - 1]
-            if m > 1:
-                pair[1:m] = rev[: m - 1] + rev[1:m]
-            scale = term.coefficient(t) / (2.0 * math.gamma(n + 1 - term.alpha))
-            n2 = (n + 1) // 2
-            lo, hi = n2, m - n2
-            if lo <= hi:
-                st = central(n)
-                coeffs = st.weights_float() * (scale / (st.norm_denominator * h**n))
-                for o, a in zip(st.offsets, coeffs):
-                    _kahan_add(d, comp, slice(lo + o, hi + o + 1), a * pair[lo : hi + 1])
-            for j in range(m + 1):
-                if lo <= j <= hi:
-                    continue
-                offs, wts, bn, deg = node_weights(j, m, n)
-                degraded = degraded or deg
-                _kahan_add(d, comp, j + offs, wts * (scale * pair[j] / (bn * h**n)))
+        for q, op in ops:
+            degraded = op.row(m, q(t), out=work)[1] or degraded
+        d = work[: m + 1].copy()
         d.flags.writeable = False
-        return AssembledRow(m, d, float(self.problem.p(t)), float(self.problem.f(t)), degraded)
+        rows.append(AssembledRow(m, d, float(problem.p(t)), float(problem.f(t)), degraded))
+    return rows
 
 
 def assemble_row(problem: FDEProblem, h: float, m: int) -> AssembledRow:
-    """Assemble the single grid row m (t = m h)."""
-    return _Assembler(problem, h, m).row(m)
+    """Assemble the single grid row m (t = m h), ceil(alpha) <= m for every term."""
+    return _assemble(problem, h, range(m, m + 1))[0]
 
 
 def assemble_system(problem: FDEProblem, h: float, max_rows: int) -> list[AssembledRow]:
@@ -182,5 +141,4 @@ def assemble_system(problem: FDEProblem, h: float, max_rows: int) -> list[Assemb
     r = problem.order
     if max_rows < r:
         raise ValueError(f"need at least {r} rows for an order-{r} problem")
-    assembler = _Assembler(problem, h, max_rows)
-    return [assembler.row(m) for m in range(r, max_rows + 1)]
+    return _assemble(problem, h, range(r, max_rows + 1))

@@ -6,8 +6,9 @@ from the Caputo integral, leaving
     D^a f(t) = 1/Gamma(n+1-a) * integral_0^(t^(n-a)) f^(n)(t - u^(1/(n-a))) du
 
 which the trapezoidal rule turns into a finite sum with the telescoping
-weights (t - x_{k-1})**(n-a) - (t - x_k)**(n-a) > 0.  Nodes need not be
-uniform here; the uniform restriction belongs to the equation solver.
+weights (t - x_{k-1})**(n-a) - (t - x_k)**(n-a) > 0 on any grid.  On the
+uniform grid one :class:`SubstitutionOperator` per order gives the sampled
+derivative, the equation rows of :mod:`.assembly` and ``fracsubst deriv``.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .stencils import node_weights
+from .stencils import central, node_weights
 
 __all__ = [
     "FracOrder",
     "Grid",
+    "SubstitutionOperator",
     "caputo_substitution",
     "caputo_substitution_sampled",
     "riemann_liouville",
@@ -87,9 +89,6 @@ class Grid:
     def t_end(self) -> float:
         return float(self.nodes[-1])
 
-    def __len__(self) -> int:
-        return self.nodes.size
-
 
 def _as_grid(grid: Grid | Sequence[float]) -> Grid:
     return grid if isinstance(grid, Grid) else Grid(grid)
@@ -101,15 +100,9 @@ def substitution_weights(nodes: np.ndarray, exponent: float) -> np.ndarray:
     Evaluated as a**s * -expm1(s*log(b/a)) to avoid the cancellation that
     the direct difference suffers when s is near 0 (alpha near n).
     """
-    t = nodes[-1]
-    a = t - nodes[:-1]
-    b = t - nodes[1:]
-    w = np.empty(a.size)
-    interior = b > 0.0
-    w[interior] = a[interior] ** exponent * -np.expm1(
-        exponent * np.log(b[interior] / a[interior])
-    )
-    w[~interior] = a[~interior] ** exponent
+    a = nodes[-1] - nodes[:-1]
+    w = a**exponent
+    w[:-1] *= -np.expm1(exponent * np.log((nodes[-1] - nodes[1:-1]) / a[:-1]))
     return w
 
 
@@ -126,8 +119,6 @@ def caputo_substitution(
     """
     order = _as_order(order)
     grid = _as_grid(grid)
-    if grid.t_end <= 0:
-        raise ValueError("evaluation point t must be positive")
     n, alpha = order.n, order.alpha
     w = substitution_weights(grid.nodes, n - alpha)
     g = np.array([dnf(x) for x in grid.nodes], dtype=float)
@@ -135,37 +126,97 @@ def caputo_substitution(
     return math.fsum(pairs[::-1]) / math.gamma(n + 1 - alpha)
 
 
+class SubstitutionOperator:
+    """The substitution rule for D^alpha on the uniform grid x_k = k h, k <= size.
+
+    ``weights[i] = (i h)**s - ((i-1) h)**s`` (s = n - alpha, ``weights[0] =
+    0``) is the weight of the trapezoid pair at distance i from the
+    evaluation point, computed once as (i h)**s * -expm1(s log1p(-1/i)) so
+    that nothing cancels as alpha -> n.  The n-th derivatives under the sum
+    are second-order stencils: central at interior nodes (shared as vector
+    slices), :func:`node_weights` at the at most 2 ceil(n/2) edge nodes.
+    """
+
+    def __init__(self, order: FracOrder | float, h: float, size: int):
+        order = _as_order(order)
+        if not (math.isfinite(h) and h > 0) or size < 1:
+            raise ValueError("need a finite step h > 0 and size >= 1")
+        self.alpha, self.n, self.h, self.size = order.alpha, order.n, float(h), int(size)
+        s = self.n - self.alpha
+        i = np.arange(2.0, self.size + 1)
+        w = np.empty(self.size + 1)
+        w[0], w[1] = 0.0, self.h**s
+        w[2:] = (i * self.h) ** s * -np.expm1(s * np.log1p(-1.0 / i))
+        w.flags.writeable = False
+        self.weights = w
+        self._pair = w[:-1] + w[1:]  # node j of row m has trapezoid weight pair[m-j] / 2, j >= 1
+        self._gamma = math.gamma(self.n + 1 - self.alpha)
+        st = central(self.n)
+        self._central = [(o, a / st.norm_denominator) for o, a in zip(st.offsets, st.weights_float()) if a]
+        self._work = np.empty(self.size + 1)
+
+    def _edges(self, m: int) -> tuple[int, int, list[int]]:
+        """Central nodes lo..hi of row m and the nodes outside them."""
+        if not self.n <= m <= self.size:
+            raise ValueError(f"row m={m} outside {self.n}..{self.size} for order n={self.n}")
+        lo, hi = (self.n + 1) // 2, m - (self.n + 1) // 2
+        return lo, hi, [*range(min(lo, m + 1)), *range(max(lo, hi + 1), m + 1)]
+
+    def quadrature_row(self, m: int) -> np.ndarray:
+        """Weights of f^(n)(x_0..x_m) in the trapezoid sum for D^alpha f(x_m)."""
+        if not 1 <= m <= self.size:
+            raise ValueError(f"row m={m} outside 1..{self.size}")
+        return np.concatenate(([self.weights[m]], self._pair[m - 1 :: -1])) / (2.0 * self._gamma)
+
+    def row(self, m: int, scale: float = 1.0, out: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
+        """``scale`` times the coefficients of y_0..y_m in D^alpha y(x_m),
+        added into ``out[:m+1]`` (fresh zeros by default); also returns
+        whether a reduced-order fallback stencil was used."""
+        lo, hi, edges = self._edges(m)
+        d = np.zeros(m + 1) if out is None else out[: m + 1]
+        k = scale / (2.0 * self._gamma)
+        if lo <= hi:
+            pair, tmp = self._pair[m - lo : m - hi - 1 : -1], self._work[: hi - lo + 1]
+            for o, a in self._central:
+                d[lo + o : hi + o + 1] += np.multiply(pair, a * (k / self.h**self.n), out=tmp)
+        degraded = False
+        for j in edges:
+            offs, wts, bn, deg = node_weights(j, m, self.n)
+            degraded = degraded or deg
+            c = self.weights[m] if j == 0 else self._pair[m - j]
+            d[j + offs] += wts * (k * c / (bn * self.h**self.n))
+        return d, degraded
+
+    def apply(self, y: Sequence[float], m: int) -> float:
+        """D^alpha y(x_m) from samples y_0..y_m: stencil derivatives first,
+        then the trapezoid sum, summed exactly."""
+        lo, hi, edges = self._edges(m)
+        y = np.asarray(y, dtype=float)
+        g = np.zeros(m + 1)
+        if lo <= hi:
+            for o, a in self._central:
+                g[lo : hi + 1] += a * y[lo + o : hi + o + 1]
+            g[lo : hi + 1] /= self.h**self.n
+        for j in edges:
+            offs, wts, bn, _ = node_weights(j, m, self.n)
+            g[j] = (wts @ y[j + offs]) / (bn * self.h**self.n)
+        return math.fsum(0.5 * (g[:-1] + g[1:]) * self.weights[m:0:-1]) / self._gamma
+
+
 def caputo_substitution_sampled(
     samples: Sequence[float],
     order: FracOrder | float,
     grid: Grid | Sequence[float],
 ) -> float:
-    """Caputo derivative at t = x_m from samples of f on a uniform grid.
-
-    The n-th derivative values in the substitution sum are replaced by
-    second-order finite differences: forward stencils at the first n2
-    nodes, backward at the last n2, central in between (falling back to
-    first-order one-sided differences on grids too short for the wide
-    stencils).
-    """
-    order = _as_order(order)
+    """Caputo derivative at t = x_m from samples of f on a uniform grid,
+    by :meth:`SubstitutionOperator.apply` (needs m >= n)."""
     grid = _as_grid(grid)
     if not grid.uniform:
         raise ValueError("sampled evaluation requires a uniform grid")
     y = np.asarray(samples, dtype=float)
     if y.shape != grid.nodes.shape:
         raise ValueError("samples must match the grid nodes")
-    n, alpha = order.n, order.alpha
-    m, h = grid.m, grid.h
-    if m < n:
-        raise ValueError(f"grid with {m + 1} nodes is too short for order n={n}")
-    w = substitution_weights(grid.nodes, n - alpha)
-    deriv = np.empty(m + 1)
-    for j in range(m + 1):
-        offs, wts, bn, _ = node_weights(j, m, n)
-        deriv[j] = (wts @ y[j + offs]) / (bn * h**n)
-    pairs = 0.5 * (deriv[:-1] + deriv[1:]) * w
-    return math.fsum(pairs[::-1]) / math.gamma(n + 1 - alpha)
+    return SubstitutionOperator(order, grid.h, grid.m).apply(y, grid.m)
 
 
 def riemann_liouville(

@@ -16,7 +16,9 @@ CSV output has a header row and '\n' line endings.  Floats are written in
 their shortest round-trip form (``repr``), so ``float()`` of a field gives
 back the computed double exactly; integer columns (row and column indices)
 are written as integers.  Identical inputs produce byte-identical files.
-Exit codes: 0 success, 1 usage/config error, 2 numerical failure.
+``deriv`` rows come from one substitution operator; ``--expr`` omits m < ceil(alpha).
+Exit codes: 0 success, 1 usage/config error, 2 numerical failure (including
+non-finite problem data).
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import conditioning, oracles, solver, stencils
-from .assembly import DerivativeTerm, FDEProblem, assemble_system
-from .caputo import Grid, caputo_substitution, caputo_substitution_sampled
+from .assembly import DerivativeTerm, FDEProblem, assemble_row, assemble_system
+from .caputo import SubstitutionOperator
 from .expr import DomainError, ParseError, parse
 
 __all__ = ["main", "ProblemConfig", "parse_config", "build_problem"]
@@ -39,7 +41,9 @@ class UsageError(Exception):
     pass
 
 
-def _fmt(x: float) -> str:
+def _fmt(x) -> str:
+    if isinstance(x, str):
+        return x
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return repr(float(x))
@@ -182,26 +186,18 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_deriv(args) -> int:
-    if (args.expr is None) == (args.dnf is None):
-        raise UsageError("give exactly one of --expr (sampled) or --dnf (exact derivative)")
-    if args.alpha is None:
-        raise UsageError("--alpha is required")
     h, _, max_rows = _grid_params(ProblemConfig(), args)
     try:
         fn = parse(args.expr if args.expr is not None else args.dnf)
-    except ParseError as exc:
+        op = SubstitutionOperator(args.alpha, h, max_rows)
+    except ValueError as exc:
         raise UsageError(str(exc)) from exc
     nodes = np.arange(max_rows + 1) * h
-    rows = []
+    values = np.array([fn(t) for t in nodes])
     if args.expr is not None:
-        samples = np.array([fn(t) for t in nodes])
-        for m in range(1, max_rows + 1):
-            grid = Grid(nodes[: m + 1])
-            rows.append((nodes[m], caputo_substitution_sampled(samples[: m + 1], args.alpha, grid)))
+        rows = [(nodes[m], op.apply(values, m)) for m in range(op.n, max_rows + 1)]
     else:
-        for m in range(1, max_rows + 1):
-            grid = Grid(nodes[: m + 1])
-            rows.append((nodes[m], caputo_substitution(fn, args.alpha, grid)))
+        rows = [(nodes[m], op.quadrature_row(m) @ values[: m + 1]) for m in range(1, max_rows + 1)]
     _write_csv(args.out, ["t", "value"], rows)
     return 0
 
@@ -210,19 +206,15 @@ def _cmd_stencil(args) -> int:
     orders = [args.n] if args.n is not None else list(range(1, 9))
     kinds = [args.kind] if args.kind is not None else ["central", "forward", "backward"]
     builders = {"central": stencils.central, "forward": stencils.forward, "backward": stencils.backward}
-    lines = ["kind,n,b,offset,weight"]
+    rows = []
     for kind in kinds:
         for n in orders:
             st = builders[kind](n)
             weights = ",".join(str(w) for w in st.weights)
             print(f"{kind} n={n} B={st.norm_denominator} offsets {st.offsets[0]}..{st.offsets[-1]}: {weights}")
-            lines.extend(
-                f"{kind},{n},{st.norm_denominator},{o},{_fmt(w)}"
-                for o, w in zip(st.offsets, st.weights)
-            )
+            rows.extend((kind, n, st.norm_denominator, o, w) for o, w in zip(st.offsets, st.weights))
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_csv(args.out, ["kind", "n", "b", "offset", "weight"], rows)
     return 0
 
 
@@ -294,11 +286,9 @@ def _cmd_assemble(args) -> int:
     cfg = _load_config(args.config)
     problem = build_problem(cfg)
     h, _, max_rows = _grid_params(cfg, args)
-    rows = assemble_system(problem, h, max_rows)
-    if args.m is not None:
-        rows = [row for row in rows if row.m == args.m]
-        if not rows:
-            raise UsageError(f"row m={args.m} is not assembled (prefix or out of range)")
+    if args.m is not None and not problem.order <= args.m <= max_rows:
+        raise UsageError(f"row m={args.m} is not assembled (prefix or out of range)")
+    rows = assemble_system(problem, h, max_rows) if args.m is None else [assemble_row(problem, h, args.m)]
     if args.dump:
         triples = ((row.m, k, row.d[k]) for row in rows for k in range(row.m + 1))
         _write_csv(args.out, ["m", "k", "d_k"], triples)
@@ -332,9 +322,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
 
     p = add("deriv", _cmd_deriv, "evaluate a Caputo derivative along a grid")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--expr", default=None, help="function f; stencil-sampled evaluation")
-    p.add_argument("--dnf", default=None, help="exact n-th derivative of f; trapezoid evaluation")
+    p.add_argument("--alpha", type=float, required=True)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--expr", help="function f; stencil-sampled evaluation, rows m >= ceil(alpha)")
+    source.add_argument("--dnf", help="exact n-th derivative of f; trapezoid evaluation")
 
     p = add("stencil", _cmd_stencil, "print finite-difference stencil tables")
     p.add_argument("--n", type=int, default=None, help="derivative order (default 1..8)")

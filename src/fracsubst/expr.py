@@ -18,6 +18,7 @@ multiplication: ``2x`` is a syntax error.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -47,6 +48,8 @@ FUNCTIONS = {
 
 VARIABLE_NAMES = ("x", "t")
 
+BINARY_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": math.pow}
+
 
 class ParseError(ValueError):
     """Syntax error; ``offset`` is the byte position in the input."""
@@ -61,7 +64,8 @@ class UnknownIdentifierError(ParseError):
 
 
 class DomainError(ArithmeticError):
-    """Evaluation left the domain of a sub-expression (ln(-1), 1/0, ...)."""
+    """Evaluation left the domain of a sub-expression (ln(-1), 1/0, ...) or
+    its result is not finite (1e200*1e200)."""
 
 
 # precedence levels used for printing with minimal parentheses
@@ -130,19 +134,14 @@ class BinOp(Expression):
         a = self.left.eval(v)
         b = self.right.eval(v)
         try:
-            if self.op == "+":
-                return a + b
-            if self.op == "-":
-                return a - b
-            if self.op == "*":
-                return a * b
-            if self.op == "/":
-                return a / b
-            return math.pow(a, b)
+            result = BINARY_OPS[self.op](a, b)
         except ZeroDivisionError as exc:
             raise DomainError(f"division by zero in '{self}'") from exc
         except (ValueError, OverflowError) as exc:
             raise DomainError(f"'{self}' undefined at {a!r}, {b!r}") from exc
+        if not math.isfinite(result):
+            raise DomainError(f"'{self}' is not finite at {a!r}, {b!r}")
+        return result
 
     def _precedence(self) -> int:
         return _PREC_POW if self.op == "^" else (_PREC_MUL if self.op in "*/" else _PREC_ADD)
@@ -270,6 +269,8 @@ class _Parser:
     def atom(self) -> Expression:
         kind, value, offset = self.advance()
         if kind == "num":
+            if not math.isfinite(float(value)):
+                raise ParseError(f"literal {value} is not a finite float", offset)
             return Num(float(value))
         if kind == "ident":
             if value in VARIABLE_NAMES:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "ConvergenceError",
@@ -207,9 +206,17 @@ def bessel_series(nu: float, n_terms: int = 1500, terms=BESSEL_TERMS) -> SeriesS
         return math.fsum(coef * _gamma_ratio(g, order) for coef, order in diagonal) - nu * nu
 
     lo, hi = r - 1 + 1e-9, 20.0
-    if indicial(lo) * indicial(hi) > 0:
+    f_lo = indicial(lo)
+    if f_lo * indicial(hi) > 0:
         raise ValueError(f"indicial root not bracketed in ({lo}, {hi})")
-    gamma = float(brentq(indicial, lo, hi, xtol=1e-13, rtol=8.9e-16))
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:  # bisection down to adjacent floats
+        if (indicial(mid) < 0.0) == (f_lo < 0.0):
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    gamma = mid
 
     shifted = _shift_steps(terms, s)
     potential_lag = round(2.0 / s)

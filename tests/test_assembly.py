@@ -198,3 +198,22 @@ def test_row_validation():
         AssembledRow(3, np.zeros(3), 0.0, 0.0, False)
     with pytest.raises(ValueError):
         AssembledRow(1, np.array([np.nan, 1.0]), 0.0, 0.0, False)
+
+
+def test_row_rejects_non_finite_data():
+    with pytest.raises(ValueError):
+        AssembledRow(1, np.zeros(2), math.inf, 0.0, False)
+    with pytest.raises(ValueError):
+        AssembledRow(1, np.zeros(2), 0.0, math.nan, False)
+
+
+@pytest.mark.parametrize("h", [2.0**-10, 0.05, 1.0])
+@pytest.mark.parametrize("n", [1, 2])
+def test_weights_stay_accurate_as_alpha_approaches_n(n, h):
+    alpha, m = n - 1e-9, 40
+    s = n - alpha  # from the float alpha, not 1e-9
+    assert weight(alpha, n, m, m, h) == pytest.approx(h**s, rel=1e-14, abs=0)
+    for k in range(1, m):
+        i = m - k + 1
+        expected = math.exp(s * math.log((i - 1) * h)) * math.expm1(s * math.log(i / (i - 1)))
+        assert weight(alpha, n, k, m, h) == pytest.approx(expected, rel=1e-12, abs=0), k

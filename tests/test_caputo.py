@@ -2,16 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fracsubst.caputo import (
     FracOrder,
     Grid,
+    SubstitutionOperator,
     caputo_substitution,
     caputo_substitution_sampled,
     riemann_liouville,
     substitution_weights,
 )
 from fracsubst.oracles import caputo_power
+from fracsubst.stencils import node_weights
 
 
 def test_frac_order_validation():
@@ -146,3 +149,72 @@ def test_riemann_liouville_argument_checks():
         riemann_liouville([1.0], 0.5, 0.0, 0.0)
     with pytest.raises(ValueError):
         riemann_liouville([1.0], 1.5, 0.0, 1.0)  # needs two Taylor coefficients
+
+
+def reference_rule(alpha, h, m, y):
+    """Plain loop over every node: trapezoid node weights from scalar pair
+    weights, node_weights stencils everywhere.  Returns the quadrature row,
+    the assembled row, its degraded flag, the stencil-first sum on y and
+    that sum taken over |stencil terms|, the size its rounding scales with.
+
+    The pair weights are ((i-1)h)**s * ((i/(i-1))**s - 1), evaluated so that
+    nothing cancels: the plain difference loses all digits for alpha one ulp
+    below n, which would make the reference the less accurate side."""
+    n = math.ceil(alpha)
+    s = n - alpha
+    pair = [0.0, h**s] + [
+        math.exp(s * math.log((i - 1) * h)) * math.expm1(s * math.log(i / (i - 1))) for i in range(2, m + 1)
+    ]
+    gam = math.gamma(n + 1 - alpha)
+    quad = np.zeros(m + 1)
+    row = np.zeros(m + 1)
+    deriv = np.zeros(m + 1)
+    size = np.zeros(m + 1)
+    degraded = False
+    for j in range(m + 1):
+        quad[j] = ((pair[m - j + 1] if j > 0 else 0.0) + pair[m - j]) / (2.0 * gam)
+        offs, wts, bn, deg = node_weights(j, m, n)
+        degraded = degraded or deg
+        for o, a in zip(offs, wts):
+            row[j + o] += a * quad[j] / (bn * h**n)
+        deriv[j] = sum(a * y[j + o] for o, a in zip(offs, wts)) / (bn * h**n)
+        size[j] = sum(abs(a * y[j + o]) for o, a in zip(offs, wts)) / (bn * h**n)
+    value = math.fsum(0.5 * (deriv[k - 1] + deriv[k]) * pair[m - k + 1] / gam for k in range(1, m + 1))
+    scale = math.fsum(0.5 * (size[k - 1] + size[k]) * pair[m - k + 1] / gam for k in range(1, m + 1))
+    return quad, row, degraded, value, scale
+
+
+fractional = st.floats(0.0, 3.0, exclude_min=True, exclude_max=True).filter(lambda a: a != int(a))
+
+
+@settings(deadline=None)
+@given(
+    alpha=st.one_of(fractional, st.sampled_from([1 - 1e-9, 2 - 1e-9, 3 - 1e-9])),
+    h=st.floats(2.0**-10, 1.0),
+    data=st.data(),
+)
+def test_operator_matches_plain_reference(alpha, h, data):
+    n = math.ceil(alpha)
+    m = data.draw(st.integers(n, 64), label="m")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    y = np.random.default_rng(seed).standard_normal(m + 1)
+    op = SubstitutionOperator(alpha, h, 64)
+    quad, row, degraded, value, scale = reference_rule(alpha, h, m, y)
+    assert np.max(np.abs(op.quadrature_row(m) - quad)) <= 1e-12 * np.sum(np.abs(quad))
+    d, deg = op.row(m)
+    assert np.max(np.abs(d - row)) <= 1e-12 * np.sum(np.abs(row))
+    assert deg == degraded
+    assert abs(op.apply(y, m) - value) <= 1e-12 * scale
+
+
+def test_operator_row_accumulates_scaled_into_out():
+    op = SubstitutionOperator(1.5, 0.125, 8)
+    out = np.ones(9)
+    d, degraded = op.row(5, scale=3.0, out=out)
+    assert np.shares_memory(d, out) and np.all(out[6:] == 1.0)
+    assert np.allclose(d, 1.0 + 3.0 * op.row(5)[0], rtol=1e-15, atol=0)
+    for bad in (1, 9):
+        with pytest.raises(ValueError):
+            op.row(bad)
+    with pytest.raises(ValueError):
+        SubstitutionOperator(1.5, 0.0, 8)

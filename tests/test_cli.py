@@ -221,3 +221,21 @@ def test_numerical_failure_exits_two(tmp_path):
     cfg = tmp_path / "singular.cfg"
     cfg.write_text('term = 0.5, "0"\np = "0"\nf = "1"\nic = 0\nh = 0.1\nt_end = 1\n')
     assert main(["solve", "--config", str(cfg)]) == 2
+
+
+def test_non_finite_data_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text('term = 1.5, "1"\np = "1"\nf = "1e200*x*1e200"\nic = 0, 0\nh = 0.0625\nt_end = 1\n')
+    out = tmp_path / "y.csv"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "numerical failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_deriv_sampled_omits_rows_too_short_for_the_stencils(tmp_path):
+    h = 0.015625
+    out = tmp_path / "d.csv"
+    assert main(["deriv", "--alpha", "1.5", "--expr", "t^3", "--h", repr(h), "--t-end", "1", "--out", str(out)]) == 0
+    rows = [[float(v) for v in line.split(",")] for line in out.read_text().splitlines()[1:]]
+    assert rows[0][0] == 2 * h and rows[-1][0] == 1.0 and len(rows) == 63
+    assert rows[-1][1] == pytest.approx(caputo_power(1.5, 3, 1.0), rel=5e-3)

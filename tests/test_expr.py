@@ -137,3 +137,19 @@ def test_print_parse_round_trip_preserves_values(tree, v):
         return
     again = evaluate(parse(str(tree)), v)
     assert again == pytest.approx(expected, rel=1e-14, abs=1e-300)
+
+
+def test_non_finite_results_are_domain_errors():
+    with pytest.raises(DomainError, match=r"'1e\+200\*x\*1e\+200' is not finite at 2e\+200, 1e\+200"):
+        parse("1e200*x*1e200")(2.0)
+    with pytest.raises(DomainError, match="is not finite"):
+        parse("x/1e-320")(1.0)
+    with pytest.raises(DomainError, match="is not finite"):
+        parse("1e308 + x")(1e308)
+    assert parse("1e200*x")(1e100) == 1e300
+
+
+def test_non_finite_literal_is_a_parse_error():
+    with pytest.raises(ParseError) as info:
+        parse("x + 1e999")
+    assert info.value.offset == 4

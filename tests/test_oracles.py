@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -156,3 +159,14 @@ def test_bessel_argument_checks():
         bessel_series(-1.0)
     with pytest.raises(ValueError):
         bessel_series(2.0, 0)
+
+
+def test_bessel_indicial_root_to_float_resolution():
+    assert bessel_series(2.0, 50).gamma == pytest.approx(2.199515088313709, rel=1e-14)
+
+
+def test_import_leaves_scipy_out():
+    code = "import sys, fracsubst, fracsubst.cli; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
