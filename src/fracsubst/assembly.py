@@ -12,13 +12,19 @@ The d_k are sum_l q_l(x_m) times row m of the term's
 :class:`~.caputo.SubstitutionOperator` (stencil weight x trapezoid pair
 weight); the closed-form per-column coefficient lists that exist for
 first- and second-order stencils are reproduced by this construction and
-serve as test vectors only.
+serve as test vectors only.  From the operator's ``steady`` row on, a row
+is a slice of one precomputed row plus a small block for its first
+columns; the few startup rows before it are scattered node by node.  Each
+row fills its own array: the first term writes it, later terms add into
+it.  Rows are dense, so a system takes 8 sum_m (m+1) bytes, and
+:func:`assemble_system` refuses one larger than physical memory.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -86,6 +92,8 @@ class AssembledRow:
 
     ``degraded`` marks rows assembled with reduced-order fallback stencils
     (possible only for the first few rows of each derivative order).
+    ``offdiag`` is the off-diagonal 1-norm sum_{k<m} |d_k|, computed once
+    here for the pivot test of the solver and the dominance check.
     """
 
     m: int
@@ -93,12 +101,17 @@ class AssembledRow:
     p_m: float
     rhs: float
     degraded: bool
+    offdiag: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d.shape != (self.m + 1,):
             raise ValueError("row m must carry exactly m+1 coefficients")
-        if not (np.all(np.isfinite(self.d)) and math.isfinite(self.p_m) and math.isfinite(self.rhs)):
+        offdiag = float(np.abs(self.d[: self.m]).sum())
+        # a finite 1-norm means finite terms; an infinite one may be an overflow of finite terms
+        finite = math.isfinite(offdiag) or bool(np.all(np.isfinite(self.d[: self.m])))
+        if not (finite and math.isfinite(self.d[self.m]) and math.isfinite(self.p_m) and math.isfinite(self.rhs)):
             raise ValueError(f"non-finite coefficients, p or f in row {self.m}")
+        object.__setattr__(self, "offdiag", offdiag)
 
 
 def weight(alpha: float, n: int, k: int, m: int, h: float) -> float:
@@ -115,16 +128,13 @@ def weight(alpha: float, n: int, k: int, m: int, h: float) -> float:
 
 
 def _assemble(problem: FDEProblem, h: float, ms: range) -> list[AssembledRow]:
-    ops = [(term.coefficient, SubstitutionOperator(term.alpha, h, ms[-1])) for term in problem.terms]
-    work = np.empty(ms[-1] + 1)  # one buffer for every row keeps the heap unfragmented
+    (q0, op0), *rest = [(term.coefficient, SubstitutionOperator(term.alpha, h, ms[-1])) for term in problem.terms]
     rows = []
     for m in ms:
         t = m * h
-        work[: m + 1] = 0.0
-        degraded = False
-        for q, op in ops:
-            degraded = op.row(m, q(t), out=work)[1] or degraded
-        d = work[: m + 1].copy()
+        d, degraded = op0.row(m, q0(t))
+        for q, op in rest:
+            degraded = op.row(m, q(t), out=d)[1] or degraded
         d.flags.writeable = False
         rows.append(AssembledRow(m, d, float(problem.p(t)), float(problem.f(t)), degraded))
     return rows
@@ -141,4 +151,11 @@ def assemble_system(problem: FDEProblem, h: float, max_rows: int) -> list[Assemb
     r = problem.order
     if max_rows < r:
         raise ValueError(f"need at least {r} rows for an order-{r} problem")
+    need = 8 * ((max_rows + 1) * (max_rows + 2) - r * (r + 1)) // 2  # 8 bytes x sum of m+1 over m = r..max_rows
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise MemoryError(
+            f"the dense system for M={max_rows} needs {need} bytes of row coefficients, "
+            f"more than the {have} bytes of physical memory"
+        )
     return _assemble(problem, h, range(r, max_rows + 1))

@@ -135,6 +135,13 @@ class SubstitutionOperator:
     that nothing cancels as alpha -> n.  The n-th derivatives under the sum
     are second-order stencils: central at interior nodes (shared as vector
     slices), :func:`node_weights` at the at most 2 ceil(n/2) edge nodes.
+
+    From row ``steady`` = 2 ceil(n/2) + 2n + 1 on, the left-edge stencils
+    with the central taps that reach below column ``a`` = ceil(n/2) + n + 1,
+    and the right-edge stencils, touch disjoint columns and no fallback
+    stencil is left.  Columns k >= a of such a row then depend on m - k only
+    and are a slice of row ``size``; columns below a are a fixed block times
+    the coefficients of nodes 0..J, J = a - 1 + ceil(n/2).
     """
 
     def __init__(self, order: FracOrder | float, h: float, size: int):
@@ -154,6 +161,11 @@ class SubstitutionOperator:
         st = central(self.n)
         self._central = [(o, a / st.norm_denominator) for o, a in zip(st.offsets, st.weights_float()) if a]
         self._work = np.empty(self.size + 1)
+        n2 = (self.n + 1) // 2
+        self._a = n2 + self.n + 1
+        self.steady = self._a + n2 + self.n
+        self._tail: np.ndarray | None = None  # row `size` at scale 1, built by the first steady row
+        self._block: np.ndarray | None = None
 
     def _edges(self, m: int) -> tuple[int, int, list[int]]:
         """Central nodes lo..hi of row m and the nodes outside them."""
@@ -170,8 +182,52 @@ class SubstitutionOperator:
 
     def row(self, m: int, scale: float = 1.0, out: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
         """``scale`` times the coefficients of y_0..y_m in D^alpha y(x_m),
-        added into ``out[:m+1]`` (fresh zeros by default); also returns
-        whether a reduced-order fallback stencil was used."""
+        added into ``out[:m+1]`` (a fresh array by default); also returns
+        whether a reduced-order fallback stencil was used.
+
+        Rows below ``steady`` are scattered node by node.  A steady row is
+        ``scale`` times a slice of row ``size`` from column ``a`` on, plus
+        one small matrix-vector product for the columns below ``a``; it
+        calls no stencil function and uses no fallback."""
+        if not self.steady <= m <= self.size:
+            return self._scatter(m, scale, out)
+        if self._tail is None:
+            self._build_steady()
+        a = self._a
+        v = np.concatenate(([self.weights[m]], self._pair[m - 1 : m - self._block.shape[1] : -1]))
+        left = (self._block @ v) * (scale / (2.0 * self._gamma))
+        tail = self._tail[self.size - m + a :]
+        if out is None:
+            d = np.empty(m + 1)
+            np.multiply(tail, scale, out=d[a:])
+            d[:a] = left
+        else:
+            d = out[: m + 1]
+            d[a:] += np.multiply(tail, scale, out=self._work[a : m + 1])
+            d[:a] += left
+        return d, False
+
+    def _build_steady(self) -> None:
+        """Row ``size`` by the scatter, and the block of columns below ``a``
+        (coefficients of nodes 0..J, from node_weights and the central taps)."""
+        n2, a = (self.n + 1) // 2, self._a
+        block = np.zeros((a, a + n2))
+        for j in range(n2):
+            offs, wts, bn, _ = node_weights(j, self.steady, self.n)
+            block[j + offs, j] += wts / bn
+        for j in range(n2, a + n2):
+            for o, c in self._central:
+                if j + o < a:
+                    block[j + o, j] += c
+        block /= self.h**self.n
+        block.flags.writeable = False
+        self._block = block
+        tail = self._scatter(self.size, 1.0, None)[0]
+        tail.flags.writeable = False
+        self._tail = tail
+
+    def _scatter(self, m: int, scale: float, out: np.ndarray | None) -> tuple[np.ndarray, bool]:
+        """:meth:`row` node by node."""
         lo, hi, edges = self._edges(m)
         d = np.zeros(m + 1) if out is None else out[: m + 1]
         k = scale / (2.0 * self._gamma)

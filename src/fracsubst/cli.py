@@ -18,7 +18,7 @@ back the computed double exactly; integer columns (row and column indices)
 are written as integers.  Identical inputs produce byte-identical files.
 ``deriv`` rows come from one substitution operator; ``--expr`` omits m < ceil(alpha).
 Exit codes: 0 success, 1 usage/config error, 2 numerical failure (including
-non-finite problem data).
+non-finite problem data) or a dense system too large for physical memory.
 """
 
 from __future__ import annotations
@@ -368,6 +368,9 @@ def main(argv=None) -> int:
         return 1
     except (solver.SingularPivotError, oracles.ConvergenceError, DomainError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -25,7 +25,8 @@ class ConditioningReport:
     """Per-row dominance margins.
 
     margin[i] = diag[i] - offdiag[i] with diag = |d_m + p_m| and offdiag =
-    sum_{k<m} |d_k|; delta is the smallest margin and the report is
+    sum_{k<m} |d_k|, read from :attr:`AssembledRow.offdiag` (computed once
+    per row, when it is built); delta is the smallest margin and the report is
     satisfied iff delta > 0.  ``alt_a`` and ``alt_b`` are the constants of
     the alternative sufficient condition (relative margin and row scale);
     whenever both are positive, delta >= alt_a * alt_b.
@@ -52,7 +53,7 @@ def check(rows: Sequence[AssembledRow], skip_prefix: int = 0) -> ConditioningRep
         raise ValueError("no rows to check")
     ms = np.array([row.m for row in kept])
     diag = np.array([abs(row.d[row.m] + row.p_m) for row in kept])
-    offdiag = np.array([float(np.sum(np.abs(row.d[: row.m]))) for row in kept])
+    offdiag = np.array([row.offdiag for row in kept])
     margin = diag - offdiag
     scale = diag + offdiag
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -2,8 +2,10 @@
 
 The first r grid values come from a truncated Taylor prefix built out of
 the initial conditions (y_1 = y_0 + h y'(0) for second-order problems);
-every later value follows from its own row in one division.  Cost is
-O(M^2) per derivative term at desk scale.
+every later value follows from its own row in one division.  Each row is
+read in one pass, a dot product with the values before it; the pivot test
+uses the off-diagonal 1-norm the row computed when it was built.  Cost is
+O(M^2) at desk scale.
 
 Accuracy is O(h^(n - alpha + 1)) for smooth solutions, set by the
 trapezoid sum in the substituted variable u = (t - x)^(n - alpha); the
@@ -95,7 +97,7 @@ def eliminate(rows: Sequence[AssembledRow], prefix: Sequence[float]) -> tuple[np
             raise ValueError(f"expected row {r + i}, got row {m}")
         pivot = row.d[m] + row.p_m
         apiv = abs(pivot)
-        if apiv == 0.0 or apiv < PIVOT_RTOL * float(np.sum(np.abs(row.d))):
+        if apiv == 0.0 or apiv < PIVOT_RTOL * (row.offdiag + abs(row.d[m])):
             raise SingularPivotError(m, pivot)
         pivot_min = min(pivot_min, apiv)
         y[m] = (row.rhs - row.d[:m] @ y[:m]) / pivot

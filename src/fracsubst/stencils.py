@@ -49,8 +49,14 @@ class Stencil:
     weights: tuple[Fraction, ...]
     norm_denominator: int
 
+    def __post_init__(self):
+        w = np.array([float(a) for a in self.weights])
+        w.flags.writeable = False
+        object.__setattr__(self, "_weights_float", w)
+
     def weights_float(self) -> np.ndarray:
-        return np.array([float(w) for w in self.weights])
+        """The weights as floats, converted once per stencil; read-only."""
+        return self._weights_float
 
     def apply(self, samples: np.ndarray, at: int, h: float) -> float:
         """Apply the stencil to ``samples`` around index ``at`` with step h."""

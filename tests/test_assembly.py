@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fracsubst import caputo
 from fracsubst.assembly import (
     AssembledRow,
     DerivativeTerm,
@@ -13,6 +14,7 @@ from fracsubst.assembly import (
 )
 from fracsubst.expr import parse
 from fracsubst.oracles import caputo_power
+from fracsubst.stencils import node_weights
 
 ONE = parse("1")
 ZERO = parse("0")
@@ -147,6 +149,23 @@ def test_relaxation_system_degraded_rows_are_early():
     rows = assemble_system(problem, 0.1, 20)
     degraded = [row.m for row in rows if row.degraded]
     assert all(m < 4 for m in degraded)
+
+
+def test_stencil_lookups_do_not_grow_with_the_grid(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return node_weights(*args)
+
+    monkeypatch.setattr(caputo, "node_weights", counted)
+    problem = FDEProblem((DerivativeTerm(1.5, ONE),), ONE, ONE, (0.0, 0.0))
+    counts = []
+    for m in (2**8, 2**11):
+        calls.clear()
+        assemble_system(problem, 5.0 / m, m)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_linear_samples_reproduce_power_rule():

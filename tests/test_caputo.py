@@ -196,9 +196,11 @@ fractional = st.floats(0.0, 3.0, exclude_min=True, exclude_max=True).filter(lamb
 def test_operator_matches_plain_reference(alpha, h, data):
     n = math.ceil(alpha)
     m = data.draw(st.integers(n, 64), label="m")
+    # rows m < size come from the scatter below the steady row and from a slice of row size above it
+    size = data.draw(st.integers(m, 4 * 64), label="size")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     y = np.random.default_rng(seed).standard_normal(m + 1)
-    op = SubstitutionOperator(alpha, h, 64)
+    op = SubstitutionOperator(alpha, h, size)
     quad, row, degraded, value, scale = reference_rule(alpha, h, m, y)
     assert np.max(np.abs(op.quadrature_row(m) - quad)) <= 1e-12 * np.sum(np.abs(quad))
     d, deg = op.row(m)
@@ -208,13 +210,14 @@ def test_operator_matches_plain_reference(alpha, h, data):
 
 
 def test_operator_row_accumulates_scaled_into_out():
-    op = SubstitutionOperator(1.5, 0.125, 8)
-    out = np.ones(9)
-    d, degraded = op.row(5, scale=3.0, out=out)
-    assert np.shares_memory(d, out) and np.all(out[6:] == 1.0)
-    assert np.allclose(d, 1.0 + 3.0 * op.row(5)[0], rtol=1e-15, atol=0)
-    for bad in (1, 9):
-        with pytest.raises(ValueError):
-            op.row(bad)
+    for size, m in ((8, 5), (64, 40)):  # a startup and a steady row
+        op = SubstitutionOperator(1.5, 0.125, size)
+        out = np.ones(size + 1)
+        d, degraded = op.row(m, scale=3.0, out=out)
+        assert np.shares_memory(d, out) and np.all(out[m + 1 :] == 1.0)
+        assert np.allclose(d, 1.0 + 3.0 * op.row(m)[0], rtol=1e-15, atol=0)
+        for bad in (1, size + 1):
+            with pytest.raises(ValueError):
+                op.row(bad)
     with pytest.raises(ValueError):
         SubstitutionOperator(1.5, 0.0, 8)

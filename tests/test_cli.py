@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,3 +240,10 @@ def test_deriv_sampled_omits_rows_too_short_for_the_stencils(tmp_path):
     rows = [[float(v) for v in line.split(",")] for line in out.read_text().splitlines()[1:]]
     assert rows[0][0] == 2 * h and rows[-1][0] == 1.0 and len(rows) == 63
     assert rows[-1][1] == pytest.approx(caputo_power(1.5, 3, 1.0), rel=5e-3)
+
+
+def test_system_too_large_for_memory_exits_two(capsys):
+    fig1 = Path(__file__).resolve().parents[1] / "demos" / "fig1.cfg"
+    assert main(["solve", "--config", str(fig1), "--h", "1e-6"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("out of memory: ") and "M=5000000" in err and err.count("\n") == 1

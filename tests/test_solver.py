@@ -101,6 +101,13 @@ def test_manufactured_quadratic_convergence():
         assert 0.9 * lead <= lvl.max_error <= lead, (lvl, lead)
 
 
+def test_refuses_a_dense_system_larger_than_memory():
+    problem = FDEProblem((DerivativeTerm(1.5, ONE),), ONE, ONE, (0.0, 0.0))
+    # 8 bytes x sum_{m=2}^{M} (m+1) for M = 2^22, about 70 TB
+    with pytest.raises(MemoryError, match="M=4194304 needs 70368794509296 bytes"):
+        solve(problem, 5 / 2**22, 2**22)
+
+
 def test_relaxation_solve_tracks_oracle():
     problem = FDEProblem((DerivativeTerm(1.5, ONE),), ONE, ONE, (0.0, 0.0))
     result = solve(problem, 2.0**-7, 2**7)

@@ -138,6 +138,14 @@ def test_exact_on_polynomials_up_to_degree_n_plus_1(kind, n, rng=np.random.defau
     assert got == pytest.approx(expected, rel=1e-10, abs=1e-10)
 
 
+@pytest.mark.parametrize("kind", [central, forward, backward, forward_first_order, backward_first_order])
+def test_float_weights_converted_once_and_read_only(kind):
+    st = kind(3)
+    w = st.weights_float()
+    assert w is st.weights_float() and not w.flags.writeable
+    assert w.tolist() == [float(a) for a in st.weights]
+
+
 def test_first_order_fallbacks():
     st = forward_first_order(1)
     assert st.offsets == (0, 1)
