@@ -12,12 +12,24 @@ The d_k are sum_l q_l(x_m) times row m of the term's
 :class:`~.caputo.SubstitutionOperator` (stencil weight x trapezoid pair
 weight); the closed-form per-column coefficient lists that exist for
 first- and second-order stencils are reproduced by this construction and
-serve as test vectors only.  From the operator's ``steady`` row on, a row
-is a slice of one precomputed row plus a small block for its first
-columns; the few startup rows before it are scattered node by node.  Each
-row fills its own array: the first term writes it, later terms add into
-it.  Rows are dense, so a system takes 8 sum_m (m+1) bytes, and
-:func:`assemble_system` refuses one larger than physical memory.
+serve as test vectors only.  q_l, p and f are evaluated once each, on the
+array of row times when they are :class:`~.expr.Expression` trees and point
+by point otherwise; f is never evaluated at t = 0.
+
+The few startup rows before the operators' ``steady`` row are scattered
+node by node, each into its own array.  From there on, rows are built in
+blocks of ``BLOCK_ROWS`` consecutive rows m = b0..b1-1: each block is one
+C-contiguous (b1 - b0) x b1 array that the first term writes and later
+terms add into (:meth:`~.caputo.SubstitutionOperator.steady_rows`), and
+row m's ``d`` is the read-only view ``block[i, :m+1]``.  The off-diagonal
+1-norms and the finiteness check take one pass per block through a scratch
+of ``SCRATCH_ROWS`` rows, reused for the whole system.
+
+Rows are dense.  A system takes 8 sum_m (m+1) bytes of coefficients plus
+the upper-triangle padding of its blocks (at most 4 M ``BLOCK_ROWS`` bytes)
+and the scratch (8 ``SCRATCH_ROWS`` (M+1) bytes); :func:`assemble_system`
+refuses one larger than physical memory.  A row kept after the others are
+dropped keeps its whole block alive.
 """
 
 from __future__ import annotations
@@ -25,11 +37,16 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .caputo import FracOrder, SubstitutionOperator
+from .expr import Expression
+
+# steady rows are built BLOCK_ROWS at a time; norms and later terms go through SCRATCH_ROWS rows
+BLOCK_ROWS = 64
+SCRATCH_ROWS = 8
 
 __all__ = [
     "DerivativeTerm",
@@ -92,8 +109,10 @@ class AssembledRow:
 
     ``degraded`` marks rows assembled with reduced-order fallback stencils
     (possible only for the first few rows of each derivative order).
-    ``offdiag`` is the off-diagonal 1-norm sum_{k<m} |d_k|, computed once
-    here for the pivot test of the solver and the dominance check.
+    ``offdiag`` is the off-diagonal 1-norm sum_{k<m} |d_k|, for the pivot
+    test of the solver and the dominance check.  It is computed here, once,
+    when not given; a builder that gives it has computed it, finite, and
+    checked d finite itself, so the row is not validated twice.
     """
 
     m: int
@@ -101,17 +120,21 @@ class AssembledRow:
     p_m: float
     rhs: float
     degraded: bool
-    offdiag: float = field(init=False, repr=False, compare=False)
+    offdiag: float | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d.shape != (self.m + 1,):
             raise ValueError("row m must carry exactly m+1 coefficients")
-        offdiag = float(np.abs(self.d[: self.m]).sum())
-        # a finite 1-norm means finite terms; an infinite one may be an overflow of finite terms
-        finite = math.isfinite(offdiag) or bool(np.all(np.isfinite(self.d[: self.m])))
-        if not (finite and math.isfinite(self.d[self.m]) and math.isfinite(self.p_m) and math.isfinite(self.rhs)):
+        finite = True
+        if self.offdiag is None:
+            offdiag = float(np.abs(self.d[: self.m]).sum())
+            # a finite 1-norm means finite terms; an infinite one may be an overflow of finite terms
+            finite = (math.isfinite(offdiag) or bool(np.all(np.isfinite(self.d[: self.m])))) and math.isfinite(
+                self.d[self.m]
+            )
+            object.__setattr__(self, "offdiag", offdiag)
+        if not (finite and math.isfinite(self.p_m) and math.isfinite(self.rhs)):
             raise ValueError(f"non-finite coefficients, p or f in row {self.m}")
-        object.__setattr__(self, "offdiag", offdiag)
 
 
 def weight(alpha: float, n: int, k: int, m: int, h: float) -> float:
@@ -127,16 +150,57 @@ def weight(alpha: float, n: int, k: int, m: int, h: float) -> float:
     return float(SubstitutionOperator(alpha, h, m - k + 1).weights[m - k + 1])
 
 
+def _on_rows(fn: Callable[[float], float], ms: range, h: float) -> np.ndarray:
+    """fn(m h) for m in ``ms``: one call on the array of row times for an
+    :class:`~.expr.Expression`, point by point for any other callable."""
+    if isinstance(fn, Expression):
+        return fn(np.arange(ms.start, ms.stop) * h)
+    return np.array([float(fn(m * h)) for m in ms])
+
+
+def _offdiag(block: np.ndarray, b0: int, scratch: np.ndarray) -> np.ndarray:
+    """sum_{k<m} |d_k| of each row m = b0 + i of ``block``, through a few
+    rows of |d| at a time in the flat ``scratch`` with the diagonal zeroed."""
+    rows, width = block.shape
+    offdiag = np.empty(rows)
+    step = scratch.size // width
+    for c in range(0, rows, step):
+        r = min(step, rows - c)
+        np.abs(block[c : c + r], out=scratch[: r * width].reshape(r, width))
+        scratch[b0 + c : r * width : width + 1] = 0.0  # entries (i, b0 + c + i)
+        scratch[: r * width].reshape(r, width).sum(axis=1, out=offdiag[c : c + r])
+    return offdiag
+
+
 def _assemble(problem: FDEProblem, h: float, ms: range) -> list[AssembledRow]:
-    (q0, op0), *rest = [(term.coefficient, SubstitutionOperator(term.alpha, h, ms[-1])) for term in problem.terms]
+    ops = [SubstitutionOperator(term.alpha, h, ms[-1]) for term in problem.terms]
+    qs = [_on_rows(term.coefficient, ms, h) for term in problem.terms]
+    p, f = _on_rows(problem.p, ms, h).tolist(), _on_rows(problem.f, ms, h).tolist()
+    (op0, *rest), (q0, *qrest) = ops, qs
+    start = min(max(ms.start, *(op.steady for op in ops)), ms.stop)
     rows = []
-    for m in ms:
-        t = m * h
-        d, degraded = op0.row(m, q0(t))
-        for q, op in rest:
-            degraded = op.row(m, q(t), out=d)[1] or degraded
+    for m in range(ms.start, start):
+        i = m - ms.start
+        d, degraded = op0.row(m, q0[i])
+        for q, op in zip(qrest, rest):
+            degraded = op.row(m, q[i], out=d)[1] or degraded
         d.flags.writeable = False
-        rows.append(AssembledRow(m, d, float(problem.p(t)), float(problem.f(t)), degraded))
+        rows.append(AssembledRow(m, d, p[i], f[i], degraded))
+    scratch = np.empty(SCRATCH_ROWS * ms.stop)
+    for b0 in range(start, ms.stop, BLOCK_ROWS):
+        b1 = min(b0 + BLOCK_ROWS, ms.stop)
+        at = slice(b0 - ms.start, b1 - ms.start)
+        block = np.empty((b1 - b0, b1))
+        op0.steady_rows(b0, q0[at], block)
+        for q, op in zip(qrest, rest):
+            op.steady_rows(b0, q[at], block, scratch)
+        offdiag = _offdiag(block, b0, scratch)
+        # a row whose norm or diagonal is not finite is validated by AssembledRow itself
+        ok = np.isfinite(offdiag + np.diagonal(block, b0)).tolist()
+        block.flags.writeable = False
+        for i, (m, norm) in enumerate(zip(range(b0, b1), offdiag.tolist())):
+            j = i + at.start
+            rows.append(AssembledRow(m, block[i, : m + 1], p[j], f[j], False, norm if ok[i] else None))
     return rows
 
 
@@ -152,10 +216,14 @@ def assemble_system(problem: FDEProblem, h: float, max_rows: int) -> list[Assemb
     if max_rows < r:
         raise ValueError(f"need at least {r} rows for an order-{r} problem")
     need = 8 * ((max_rows + 1) * (max_rows + 2) - r * (r + 1)) // 2  # 8 bytes x sum of m+1 over m = r..max_rows
+    # the blocks' upper-triangle padding, counted as if rows r..max_rows were all steady, and the scratch
+    full, last = divmod(max_rows + 1 - r, BLOCK_ROWS)
+    padding = 8 * (full * BLOCK_ROWS * (BLOCK_ROWS - 1) + last * (last - 1)) // 2
+    extra = padding + 8 * SCRATCH_ROWS * (max_rows + 1)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
+    if need + extra > have:
         raise MemoryError(
-            f"the dense system for M={max_rows} needs {need} bytes of row coefficients, "
-            f"more than the {have} bytes of physical memory"
+            f"the dense system for M={max_rows} needs {need} bytes of row coefficients "
+            f"and {extra} bytes of block padding and scratch, more than the {have} bytes of physical memory"
         )
     return _assemble(problem, h, range(r, max_rows + 1))

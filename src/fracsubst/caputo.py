@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .stencils import central, node_weights
 
@@ -142,6 +143,8 @@ class SubstitutionOperator:
     stencil is left.  Columns k >= a of such a row then depend on m - k only
     and are a slice of row ``size``; columns below a are a fixed block times
     the coefficients of nodes 0..J, J = a - 1 + ceil(n/2).
+    :meth:`steady_rows` builds any run of consecutive steady rows this way,
+    and :meth:`row` of a steady m is its one-row case.
     """
 
     def __init__(self, order: FracOrder | float, h: float, size: int):
@@ -164,7 +167,7 @@ class SubstitutionOperator:
         n2 = (self.n + 1) // 2
         self._a = n2 + self.n + 1
         self.steady = self._a + n2 + self.n
-        self._tail: np.ndarray | None = None  # row `size` at scale 1, built by the first steady row
+        self._tail: np.ndarray | None = None  # row `size` at scale 1 and zeros, built by the first steady row
         self._block: np.ndarray | None = None
 
     def _edges(self, m: int) -> tuple[int, int, list[int]]:
@@ -185,31 +188,55 @@ class SubstitutionOperator:
         added into ``out[:m+1]`` (a fresh array by default); also returns
         whether a reduced-order fallback stencil was used.
 
-        Rows below ``steady`` are scattered node by node.  A steady row is
-        ``scale`` times a slice of row ``size`` from column ``a`` on, plus
-        one small matrix-vector product for the columns below ``a``; it
-        calls no stencil function and uses no fallback."""
+        Rows below ``steady`` are scattered node by node; a steady row is the
+        one-row case of :meth:`steady_rows`."""
         if not self.steady <= m <= self.size:
             return self._scatter(m, scale, out)
-        if self._tail is None:
-            self._build_steady()
-        a = self._a
-        v = np.concatenate(([self.weights[m]], self._pair[m - 1 : m - self._block.shape[1] : -1]))
-        left = (self._block @ v) * (scale / (2.0 * self._gamma))
-        tail = self._tail[self.size - m + a :]
-        if out is None:
-            d = np.empty(m + 1)
-            np.multiply(tail, scale, out=d[a:])
-            d[:a] = left
-        else:
-            d = out[: m + 1]
-            d[a:] += np.multiply(tail, scale, out=self._work[a : m + 1])
-            d[:a] += left
+        d = np.empty(m + 1) if out is None else out[: m + 1]
+        self.steady_rows(m, np.array([scale], dtype=float), d[None, :], None if out is None else self._work)
         return d, False
 
+    def steady_rows(self, b0: int, scale: np.ndarray, out: np.ndarray, work: np.ndarray | None = None) -> None:
+        """``scale[i]`` times row m = b0 + i, for the rows b0..b1-1 (b1 = b0 +
+        len(scale), b0 >= ``steady``), into the rows of ``out``, shape
+        (b1 - b0, b1); columns right of the diagonal get zeros.  Written when
+        ``work`` is None, otherwise added through ``work``, a flat buffer of at
+        least b1 floats.  No stencil function is called and no row is degraded.
+
+        Column k >= a of row m is tail[size - m + k], tail being row ``size``
+        zero-padded to twice its length, so those columns of all the rows are
+        one Toeplitz view of it (negative row stride) times the scales.  The
+        columns below a are the block times [weights[m], pair[m-1], ...,
+        pair[m-J+1]], one matrix-vector product per row in a single batched
+        matmul, which sums in the same order as a lone product would."""
+        rows = scale.size
+        b1 = b0 + rows
+        if not (self.steady <= b0 and b1 <= self.size + 1 and out.shape == (rows, b1)):
+            raise ValueError(f"rows {b0}..{b1 - 1} are not steady rows of 0..{self.size} in a ({rows}, {b1}) block")
+        if self._tail is None:
+            self._build_steady()
+        a, size, jn = self._a, self.size, self._block.shape[1]
+        toeplitz = sliding_window_view(self._tail, b1 - a)[size - b1 + 1 + a : size - b0 + a + 1][::-1]
+        coef = np.empty((rows, jn))
+        coef[:, 0] = self.weights[b0:b1]
+        coef[:, 1:] = sliding_window_view(self._pair, jn - 1)[b0 - jn + 1 : b1 - jn + 1, ::-1]
+        left = np.matmul(self._block, coef[:, :, None])[:, :, 0]
+        left *= (scale / (2.0 * self._gamma))[:, None]
+        if work is None:
+            out[:, :a] = left
+            np.multiply(toeplitz, scale[:, None], out=out[:, a:])
+            return
+        out[:, :a] += left
+        step = work.size // (b1 - a)
+        for c in range(0, rows, step):
+            r = min(step, rows - c)
+            tmp = work[: r * (b1 - a)].reshape(r, b1 - a)
+            out[c : c + r, a:] += np.multiply(toeplitz[c : c + r], scale[c : c + r, None], out=tmp)
+
     def _build_steady(self) -> None:
-        """Row ``size`` by the scatter, and the block of columns below ``a``
-        (coefficients of nodes 0..J, from node_weights and the central taps)."""
+        """Row ``size`` by the scatter, zero-padded to twice its length, and the
+        block of columns below ``a`` (coefficients of nodes 0..J, from
+        node_weights and the central taps)."""
         n2, a = (self.n + 1) // 2, self._a
         block = np.zeros((a, a + n2))
         for j in range(n2):
@@ -222,7 +249,8 @@ class SubstitutionOperator:
         block /= self.h**self.n
         block.flags.writeable = False
         self._block = block
-        tail = self._scatter(self.size, 1.0, None)[0]
+        tail = np.zeros(2 * (self.size + 1))
+        self._scatter(self.size, 1.0, tail)
         tail.flags.writeable = False
         self._tail = tail
 
@@ -244,19 +272,32 @@ class SubstitutionOperator:
         return d, degraded
 
     def apply(self, y: Sequence[float], m: int) -> float:
-        """D^alpha y(x_m) from samples y_0..y_m: stencil derivatives first,
-        then the trapezoid sum, summed exactly."""
-        lo, hi, edges = self._edges(m)
+        """D^alpha y(x_m) from samples y_0..y_m: :meth:`apply_rows` for one row."""
+        return self.apply_rows(y, [m])[0]
+
+    def apply_rows(self, y: Sequence[float], ms: Sequence[int]) -> list[float]:
+        """D^alpha y(x_m) for each m in ``ms`` from samples y_0..y_m: stencil
+        derivatives first, then the trapezoid sum, summed exactly.
+
+        The central-stencil derivatives do not depend on the row, so they are
+        taken once for every node; each row redoes only its edge nodes."""
         y = np.asarray(y, dtype=float)
-        g = np.zeros(m + 1)
-        if lo <= hi:
+        edges = [self._edges(m)[2] for m in ms]
+        n2, hn = (self.n + 1) // 2, self.h**self.n
+        top = max(ms) - n2  # the last node that is central in some row
+        interior = np.zeros(max(ms) + 1)
+        if n2 <= top:
             for o, a in self._central:
-                g[lo : hi + 1] += a * y[lo + o : hi + o + 1]
-            g[lo : hi + 1] /= self.h**self.n
-        for j in edges:
-            offs, wts, bn, _ = node_weights(j, m, self.n)
-            g[j] = (wts @ y[j + offs]) / (bn * self.h**self.n)
-        return math.fsum(0.5 * (g[:-1] + g[1:]) * self.weights[m:0:-1]) / self._gamma
+                interior[n2 : top + 1] += a * y[n2 + o : top + o + 1]
+            interior[n2 : top + 1] /= hn
+        values = []
+        for m, row_edges in zip(ms, edges):
+            g = interior[: m + 1].copy()
+            for j in row_edges:
+                offs, wts, bn, _ = node_weights(j, m, self.n)
+                g[j] = (wts @ y[j + offs]) / (bn * hn)
+            values.append(math.fsum((0.5 * (g[:-1] + g[1:]) * self.weights[m:0:-1]).tolist()) / self._gamma)
+        return values
 
 
 def caputo_substitution_sampled(

@@ -195,7 +195,7 @@ def _cmd_deriv(args) -> int:
     nodes = np.arange(max_rows + 1) * h
     values = np.array([fn(t) for t in nodes])
     if args.expr is not None:
-        rows = [(nodes[m], op.apply(values, m)) for m in range(op.n, max_rows + 1)]
+        rows = zip(nodes[op.n :], op.apply_rows(values, range(op.n, max_rows + 1)))
     else:
         rows = [(nodes[m], op.quadrature_row(m) @ values[: m + 1]) for m in range(1, max_rows + 1)]
     _write_csv(args.out, ["t", "value"], rows)

@@ -13,6 +13,15 @@ immutable syntax trees.  Grammar (loosest to tightest binding):
 ``x`` and ``t`` are two spellings of the same variable.  Available
 functions: exp, ln, sin, cos, sqrt, abs, gamma.  There is no implicit
 multiplication: ``2x`` is a syntax error.
+
+An expression called on a float walks its tree once with :mod:`math`
+functions and returns a float.  Called on a numpy array of points, it walks
+the tree once for the whole array with the numpy counterparts (gamma still
+goes point by point) and returns an array of the same shape; each node's
+result is checked for finiteness, and the first point where one is not
+finite raises :class:`DomainError` naming the sub-expression and that point.
+Values on arrays may differ from the scalar ones in the last bit, where numpy
+and :mod:`math` round differently (exp, pow).
 """
 
 from __future__ import annotations
@@ -21,6 +30,8 @@ import math
 import operator
 import re
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "Expression",
@@ -49,6 +60,27 @@ FUNCTIONS = {
 VARIABLE_NAMES = ("x", "t")
 
 BINARY_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": math.pow}
+
+
+def _gamma_or_nan(v: float) -> float:
+    try:
+        return math.gamma(v)
+    except (ValueError, OverflowError):
+        return math.nan
+
+
+# the same functions and operators on arrays; results outside a domain come back non-finite
+ARRAY_FUNCTIONS = {
+    "exp": np.exp,
+    "ln": np.log,
+    "sin": np.sin,
+    "cos": np.cos,
+    "sqrt": np.sqrt,
+    "abs": np.abs,
+    "gamma": np.vectorize(_gamma_or_nan, otypes=[float]),
+}
+
+ARRAY_OPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.true_divide, "^": np.power}
 
 
 class ParseError(ValueError):
@@ -83,7 +115,16 @@ class Expression:
     def eval(self, v: float) -> float:
         raise NotImplementedError
 
-    def __call__(self, v: float) -> float:
+    def _values(self, v: np.ndarray) -> np.ndarray:
+        """Values at every point of the float array ``v``, same shape; call
+        under ``np.errstate(all="ignore")``, failures are checked per node."""
+        raise NotImplementedError
+
+    def __call__(self, v):
+        """Value at the float ``v``, or values at every point of the array ``v``."""
+        if isinstance(v, np.ndarray):
+            with np.errstate(all="ignore"):
+                return self._values(np.asarray(v, dtype=float))
         return self.eval(v)
 
     def _precedence(self) -> int:
@@ -97,6 +138,9 @@ class Num(Expression):
     def eval(self, v: float) -> float:
         return self.value
 
+    def _values(self, v: np.ndarray) -> np.ndarray:
+        return np.full(v.shape, self.value)
+
     def __str__(self) -> str:
         return repr(self.value)
 
@@ -104,6 +148,9 @@ class Num(Expression):
 @dataclass(frozen=True)
 class Var(Expression):
     def eval(self, v: float) -> float:
+        return v
+
+    def _values(self, v: np.ndarray) -> np.ndarray:
         return v
 
     def __str__(self) -> str:
@@ -116,6 +163,9 @@ class Neg(Expression):
 
     def eval(self, v: float) -> float:
         return -self.operand.eval(v)
+
+    def _values(self, v: np.ndarray) -> np.ndarray:
+        return -self.operand._values(v)
 
     def _precedence(self) -> int:
         return _PREC_NEG
@@ -141,6 +191,17 @@ class BinOp(Expression):
             raise DomainError(f"'{self}' undefined at {a!r}, {b!r}") from exc
         if not math.isfinite(result):
             raise DomainError(f"'{self}' is not finite at {a!r}, {b!r}")
+        return result
+
+    def _values(self, v: np.ndarray) -> np.ndarray:
+        a = self.left._values(v)
+        b = self.right._values(v)
+        result = ARRAY_OPS[self.op](a, b)
+        i = _first_non_finite(result)
+        if i is not None:
+            raise DomainError(
+                f"'{self}' is not finite at x={float(v.flat[i])!r} (operands {float(a.flat[i])!r}, {float(b.flat[i])!r})"
+            )
         return result
 
     def _precedence(self) -> int:
@@ -170,8 +231,23 @@ class Call(Expression):
         except (ValueError, OverflowError) as exc:
             raise DomainError(f"{self.func}({a!r}) undefined") from exc
 
+    def _values(self, v: np.ndarray) -> np.ndarray:
+        a = self.arg._values(v)
+        result = ARRAY_FUNCTIONS[self.func](a)
+        i = _first_non_finite(result)
+        if i is not None:
+            raise DomainError(f"{self.func}({float(a.flat[i])!r}) undefined at x={float(v.flat[i])!r}")
+        return result
+
     def __str__(self) -> str:
         return f"{self.func}({self.arg})"
+
+
+def _first_non_finite(values: np.ndarray) -> int | None:
+    """Flat index of the first non-finite value, None if all are finite."""
+    if np.isfinite(values).all():
+        return None
+    return int(np.flatnonzero(~np.isfinite(values))[0])
 
 
 def _wrap(e: Expression, min_prec: int) -> str:

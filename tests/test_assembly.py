@@ -1,9 +1,13 @@
 import math
+import os
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_caputo import fractional, reference_rule
 
-from fracsubst import caputo
+from fracsubst import assembly, caputo
 from fracsubst.assembly import (
     AssembledRow,
     DerivativeTerm,
@@ -236,3 +240,60 @@ def test_weights_stay_accurate_as_alpha_approaches_n(n, h):
         i = m - k + 1
         expected = math.exp(s * math.log((i - 1) * h)) * math.expm1(s * math.log(i / (i - 1)))
         assert weight(alpha, n, k, m, h) == pytest.approx(expected, rel=1e-12, abs=0), k
+
+
+def test_memory_estimate_covers_the_blocks(monkeypatch):
+    problem = FDEProblem((DerivativeTerm(0.5, ONE), DerivativeTerm(1.5, parse("x"))), ONE, ONE, (0.0, 0.0))
+    m = 300
+    owners = {}
+    for row in assemble_system(problem, 0.01, m):
+        owner = row.d if row.d.base is None else row.d.base
+        owners[id(owner)] = owner.nbytes
+    monkeypatch.setattr(os, "sysconf", lambda name: 1)  # one page of one byte
+    with pytest.raises(MemoryError) as info:
+        assemble_system(problem, 0.01, m)
+    need, extra = map(int, re.search(r"needs (\d+) bytes of row coefficients and (\d+) bytes", str(info.value)).groups())
+    assert need == 8 * sum(k + 1 for k in range(2, m + 1))
+    assert need + extra >= sum(owners.values()) + 8 * assembly.SCRATCH_ROWS * (m + 1)
+    assert len(owners) < m // 8  # rows share blocks
+
+
+EXPRESSIONS = ["1 + x", "2 + sin(3*x)", "exp(-x)", "0.5 + x^2", "cos(x) - 2"]
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    alphas=st.lists(fractional, min_size=1, max_size=3),
+    texts=st.lists(st.sampled_from(EXPRESSIONS), min_size=5, max_size=5),
+    h=st.floats(2.0**-6, 0.5),
+    data=st.data(),
+)
+def test_block_assembly_matches_the_per_node_reference(alphas, texts, h, data):
+    r = max(math.ceil(a) for a in alphas)
+    steady = max(caputo.SubstitutionOperator(a, h, 1).steady for a in alphas)
+    edge = steady + assembly.BLOCK_ROWS  # first row of the second block
+    m_max = data.draw(
+        st.one_of(
+            st.integers(r, steady - 1),  # startup rows only
+            st.sampled_from([steady, edge - 2, edge - 1, edge]),  # one row in blocks; a block boundary +-1
+            st.integers(edge + assembly.BLOCK_ROWS, edge + 2 * assembly.BLOCK_ROWS),  # several blocks
+        ),
+        label="M",
+    )
+    qs = [parse(text) for text in texts[: len(alphas)]]
+    p, f = parse(texts[3]), parse(texts[4])
+    problem = FDEProblem(tuple(DerivativeTerm(a, q) for a, q in zip(alphas, qs)), p, f, (0.0,) * r)
+    rows = assemble_system(problem, h, m_max)
+    assert [row.m for row in rows] == list(range(r, m_max + 1))
+    for row in rows:
+        m, t = row.m, row.m * h
+        want, degraded = np.zeros(m + 1), False
+        for term in problem.terms:
+            _, ref, deg, _, _ = reference_rule(term.alpha, h, m, np.zeros(m + 1))
+            want += term.coefficient(t) * ref
+            degraded = degraded or deg
+        assert np.max(np.abs(row.d - want)) <= 1e-12 * np.sum(np.abs(want)), m
+        assert row.degraded == degraded, m
+        assert row.offdiag == pytest.approx(float(np.abs(row.d[:m]).sum()), rel=1e-14, abs=0), m
+        assert row.p_m == pytest.approx(p(t), rel=1e-15) and row.rhs == pytest.approx(f(t), rel=1e-15)
+        assert not row.d.flags.writeable

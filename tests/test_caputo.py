@@ -207,6 +207,8 @@ def test_operator_matches_plain_reference(alpha, h, data):
     assert np.max(np.abs(d - row)) <= 1e-12 * np.sum(np.abs(row))
     assert deg == degraded
     assert abs(op.apply(y, m) - value) <= 1e-12 * scale
+    # several rows in one call share their central-stencil derivatives and give the one-row values
+    assert op.apply_rows(y, [n, m, m]) == [op.apply(y[: n + 1], n), op.apply(y, m), op.apply(y, m)]
 
 
 def test_operator_row_accumulates_scaled_into_out():

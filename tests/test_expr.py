@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -153,3 +154,29 @@ def test_non_finite_literal_is_a_parse_error():
     with pytest.raises(ParseError) as info:
         parse("x + 1e999")
     assert info.value.offset == 4
+
+
+def test_array_evaluation_matches_points():
+    grid = np.arange(1, 41) * 0.125
+    for text in ("x*exp(-x)", "exp(-x)*sin(0.2*x)", "x^(-1)*exp(-1/x)", "1.5*x^1.5", "x^2 - 4", "gamma(x) + abs(cos(x))", "3"):
+        e = parse(text)
+        got = e(grid)
+        assert isinstance(got, np.ndarray) and got.shape == grid.shape and got.dtype == float
+        assert got == pytest.approx([e(t) for t in grid.tolist()], rel=4e-16, abs=0), text
+
+
+def test_array_evaluation_names_the_first_failing_point():
+    with pytest.raises(DomainError, match=r"^ln\(0\.0\) undefined at x=1\.0$"):
+        parse("ln(x-1)")(np.array([1.5, 2.0, 1.0, 0.5]))
+    with pytest.raises(DomainError, match=r"'1\.0/x' is not finite at x=0\.0"):
+        parse("1/x")(np.array([1.0, 0.0]))
+    with pytest.raises(DomainError, match=r"'1e\+200\*x\*1e\+200' is not finite at x=2\.0"):
+        parse("1e200*x*1e200")(np.array([1e-300, 2.0]))
+    with pytest.raises(DomainError, match=r"gamma\(-2\.0\) undefined at x=-2\.0"):
+        parse("gamma(x)")(np.array([1.0, -2.0]))
+
+
+def test_scalar_evaluation_stays_on_floats():
+    value = parse("x*exp(-x) + sin(0.2*x)")(2.0)
+    assert type(value) is float
+    assert value == 2.0 * math.exp(-2.0) + math.sin(0.2 * 2.0)

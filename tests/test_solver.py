@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fracsubst.assembly import DerivativeTerm, FDEProblem, assemble_system
-from fracsubst.expr import parse
+from fracsubst.expr import DomainError, parse
 from fracsubst.oracles import caputo_power, relaxation_solution
 from fracsubst.solver import (
     SingularPivotError,
@@ -191,3 +191,23 @@ def test_solution_respects_dominance_bound():
     from fracsubst.conditioning import bound
 
     assert np.max(np.abs(result.y)) <= bound(report, 0.2, fmax) + 1e-12
+
+
+def test_non_finite_data_on_the_grid_is_a_domain_error():
+    problem = FDEProblem((DerivativeTerm(1.5, ONE),), ONE, parse("1e200*x*1e200"), (0.0, 0.0))
+    with pytest.raises(DomainError, match=r"'1e\+200\*x\*1e\+200' is not finite at x=0\.125"):
+        solve(problem, 0.0625, 16)
+
+
+def test_plain_python_callables_are_evaluated_point_by_point():
+    seen = []
+
+    def rhs(t):
+        seen.append(t)
+        return 1.0 if t > 0 else math.nan  # scalar-only, and never asked for t = 0
+
+    problem = FDEProblem((DerivativeTerm(1.5, lambda t: 2.0 + math.sin(t)),), ONE, rhs, (0.0, 0.0))
+    reference = FDEProblem((DerivativeTerm(1.5, parse("2 + sin(x)")),), ONE, ONE, (0.0, 0.0))
+    got, want = solve(problem, 0.0625, 80).y, solve(reference, 0.0625, 80).y
+    assert seen == [m * 0.0625 for m in range(2, 81)] and all(type(t) is float for t in seen)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
