@@ -25,6 +25,7 @@ from .oracles import (
 )
 from .solver import (
     ConvergenceLevel,
+    NonFiniteSolutionError,
     SingularPivotError,
     SolveResult,
     calibrate,
@@ -48,6 +49,7 @@ __all__ = [
     "FDEProblem",
     "FracOrder",
     "Grid",
+    "NonFiniteSolutionError",
     "ParseError",
     "SeriesSolution",
     "SingularPivotError",

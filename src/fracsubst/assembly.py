@@ -16,20 +16,20 @@ serve as test vectors only.  q_l, p and f are evaluated once each, on the
 array of row times when they are :class:`~.expr.Expression` trees and point
 by point otherwise; f is never evaluated at t = 0.
 
-The few startup rows before the operators' ``steady`` row are scattered
-node by node, each into its own array.  From there on, rows are built in
-blocks of ``BLOCK_ROWS`` consecutive rows m = b0..b1-1: each block is one
-C-contiguous (b1 - b0) x b1 array that the first term writes and later
-terms add into (:meth:`~.caputo.SubstitutionOperator.steady_rows`), and
-row m's ``d`` is the read-only view ``block[i, :m+1]``.  The off-diagonal
-1-norms and the finiteness check take one pass per block through a scratch
-of ``SCRATCH_ROWS`` rows, reused for the whole system.
+Rows are built in blocks of ``BLOCK_ROWS`` consecutive rows m = b0..b1-1,
+the first block starting at row r: each block is one C-contiguous
+(b1 - b0) x b1 array that the first term writes and later terms add into
+(:meth:`~.caputo.SubstitutionOperator.rows`), and row m's ``d`` is the
+read-only view ``block[i, :m+1]``.  The degraded flags come from the same
+calls; the off-diagonal 1-norms and the finiteness check take one pass per
+block through a scratch of ``SCRATCH_ROWS`` rows, reused for the whole
+system.
 
-Rows are dense.  A system takes 8 sum_m (m+1) bytes of coefficients plus
-the upper-triangle padding of its blocks (at most 4 M ``BLOCK_ROWS`` bytes)
-and the scratch (8 ``SCRATCH_ROWS`` (M+1) bytes); :func:`assemble_system`
-refuses one larger than physical memory.  A row kept after the others are
-dropped keeps its whole block alive.
+Rows are dense.  A system takes exactly 8 sum_m (m+1) bytes of
+coefficients, the upper-triangle padding of its blocks (8 k(k-1)/2 bytes
+for a block of k rows) and the scratch (8 ``SCRATCH_ROWS`` (M+1) bytes);
+:func:`assemble_system` refuses one larger than physical memory.  A row
+kept after the others are dropped keeps its whole block alive.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import numpy as np
 from .caputo import FracOrder, SubstitutionOperator
 from .expr import Expression
 
-# steady rows are built BLOCK_ROWS at a time; norms and later terms go through SCRATCH_ROWS rows
+# rows are built BLOCK_ROWS at a time; their norms go through SCRATCH_ROWS rows at a time
 BLOCK_ROWS = 64
 SCRATCH_ROWS = 8
 
@@ -176,31 +176,22 @@ def _assemble(problem: FDEProblem, h: float, ms: range) -> list[AssembledRow]:
     ops = [SubstitutionOperator(term.alpha, h, ms[-1]) for term in problem.terms]
     qs = [_on_rows(term.coefficient, ms, h) for term in problem.terms]
     p, f = _on_rows(problem.p, ms, h).tolist(), _on_rows(problem.f, ms, h).tolist()
-    (op0, *rest), (q0, *qrest) = ops, qs
-    start = min(max(ms.start, *(op.steady for op in ops)), ms.stop)
     rows = []
-    for m in range(ms.start, start):
-        i = m - ms.start
-        d, degraded = op0.row(m, q0[i])
-        for q, op in zip(qrest, rest):
-            degraded = op.row(m, q[i], out=d)[1] or degraded
-        d.flags.writeable = False
-        rows.append(AssembledRow(m, d, p[i], f[i], degraded))
     scratch = np.empty(SCRATCH_ROWS * ms.stop)
-    for b0 in range(start, ms.stop, BLOCK_ROWS):
+    for b0 in range(ms.start, ms.stop, BLOCK_ROWS):
         b1 = min(b0 + BLOCK_ROWS, ms.stop)
         at = slice(b0 - ms.start, b1 - ms.start)
         block = np.empty((b1 - b0, b1))
-        op0.steady_rows(b0, q0[at], block)
-        for q, op in zip(qrest, rest):
-            op.steady_rows(b0, q[at], block, scratch)
+        degraded = np.zeros(b1 - b0, dtype=bool)
+        for term, (q, op) in enumerate(zip(qs, ops)):
+            degraded |= op.rows(b0, q[at], block, add=term > 0)
         offdiag = _offdiag(block, b0, scratch)
         # a row whose norm or diagonal is not finite is validated by AssembledRow itself
         ok = np.isfinite(offdiag + np.diagonal(block, b0)).tolist()
         block.flags.writeable = False
-        for i, (m, norm) in enumerate(zip(range(b0, b1), offdiag.tolist())):
+        for i, (m, deg, norm) in enumerate(zip(range(b0, b1), degraded.tolist(), offdiag.tolist())):
             j = i + at.start
-            rows.append(AssembledRow(m, block[i, : m + 1], p[j], f[j], False, norm if ok[i] else None))
+            rows.append(AssembledRow(m, block[i, : m + 1], p[j], f[j], deg, norm if ok[i] else None))
     return rows
 
 
@@ -216,7 +207,7 @@ def assemble_system(problem: FDEProblem, h: float, max_rows: int) -> list[Assemb
     if max_rows < r:
         raise ValueError(f"need at least {r} rows for an order-{r} problem")
     need = 8 * ((max_rows + 1) * (max_rows + 2) - r * (r + 1)) // 2  # 8 bytes x sum of m+1 over m = r..max_rows
-    # the blocks' upper-triangle padding, counted as if rows r..max_rows were all steady, and the scratch
+    # the upper-triangle padding of the blocks, which start at row r, and the scratch
     full, last = divmod(max_rows + 1 - r, BLOCK_ROWS)
     padding = 8 * (full * BLOCK_ROWS * (BLOCK_ROWS - 1) + last * (last - 1)) // 2
     extra = padding + 8 * SCRATCH_ROWS * (max_rows + 1)

@@ -143,8 +143,9 @@ class SubstitutionOperator:
     stencil is left.  Columns k >= a of such a row then depend on m - k only
     and are a slice of row ``size``; columns below a are a fixed block times
     the coefficients of nodes 0..J, J = a - 1 + ceil(n/2).
-    :meth:`steady_rows` builds any run of consecutive steady rows this way,
-    and :meth:`row` of a steady m is its one-row case.
+    :meth:`rows` builds any run of consecutive rows, scattering those below
+    ``steady`` node by node and the rest this way; :meth:`row` is its
+    one-row case.
     """
 
     def __init__(self, order: FracOrder | float, h: float, size: int):
@@ -163,7 +164,6 @@ class SubstitutionOperator:
         self._gamma = math.gamma(self.n + 1 - self.alpha)
         st = central(self.n)
         self._central = [(o, a / st.norm_denominator) for o, a in zip(st.offsets, st.weights_float()) if a]
-        self._work = np.empty(self.size + 1)
         n2 = (self.n + 1) // 2
         self._a = n2 + self.n + 1
         self.steady = self._a + n2 + self.n
@@ -185,53 +185,55 @@ class SubstitutionOperator:
 
     def row(self, m: int, scale: float = 1.0, out: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
         """``scale`` times the coefficients of y_0..y_m in D^alpha y(x_m),
-        added into ``out[:m+1]`` (a fresh array by default); also returns
-        whether a reduced-order fallback stencil was used.
+        added into ``out[:m+1]`` (a fresh zero array by default); also returns
+        whether a reduced-order fallback stencil was used.  The one-row case
+        of :meth:`rows`."""
+        d = np.zeros(m + 1) if out is None else out[: m + 1]
+        return d, bool(self.rows(m, np.array([scale], dtype=float), d[None, :], add=True)[0])
 
-        Rows below ``steady`` are scattered node by node; a steady row is the
-        one-row case of :meth:`steady_rows`."""
-        if not self.steady <= m <= self.size:
-            return self._scatter(m, scale, out)
-        d = np.empty(m + 1) if out is None else out[: m + 1]
-        self.steady_rows(m, np.array([scale], dtype=float), d[None, :], None if out is None else self._work)
-        return d, False
-
-    def steady_rows(self, b0: int, scale: np.ndarray, out: np.ndarray, work: np.ndarray | None = None) -> None:
+    def rows(self, b0: int, scale: np.ndarray, out: np.ndarray, add: bool = False) -> np.ndarray:
         """``scale[i]`` times row m = b0 + i, for the rows b0..b1-1 (b1 = b0 +
-        len(scale), b0 >= ``steady``), into the rows of ``out``, shape
-        (b1 - b0, b1); columns right of the diagonal get zeros.  Written when
-        ``work`` is None, otherwise added through ``work``, a flat buffer of at
-        least b1 floats.  No stencil function is called and no row is degraded.
+        len(scale), b0 >= n), into the rows of ``out``, shape (b1 - b0, b1);
+        columns right of the diagonal get zeros.  Written, or added when
+        ``add``.  Returns each row's degraded flag.
 
-        Column k >= a of row m is tail[size - m + k], tail being row ``size``
-        zero-padded to twice its length, so those columns of all the rows are
-        one Toeplitz view of it (negative row stride) times the scales.  The
-        columns below a are the block times [weights[m], pair[m-1], ...,
-        pair[m-J+1]], one matrix-vector product per row in a single batched
-        matmul, which sums in the same order as a lone product would."""
+        Rows below ``steady`` are scattered node by node into their row of
+        ``out``.  In the others column k >= a of row m is tail[size - m + k],
+        tail being row ``size`` zero-padded to twice its length, so those
+        columns of all the rows are one Toeplitz view of it (negative row
+        stride) times the scales.  Their columns below a are the block times
+        [weights[m], pair[m-1], ..., pair[m-J+1]], one matrix-vector product
+        per row in a single batched matmul, which sums in the same order as a
+        lone product would.  No stencil function is called for them and none
+        is degraded."""
         rows = scale.size
         b1 = b0 + rows
-        if not (self.steady <= b0 and b1 <= self.size + 1 and out.shape == (rows, b1)):
-            raise ValueError(f"rows {b0}..{b1 - 1} are not steady rows of 0..{self.size} in a ({rows}, {b1}) block")
+        if not (self.n <= b0 and b1 <= self.size + 1 and out.shape == (rows, b1)):
+            raise ValueError(f"rows {b0}..{b1 - 1} are not rows {self.n}..{self.size} in a ({rows}, {b1}) block")
+        k = min(max(self.steady - b0, 0), rows)  # rows b0..b0+k-1 are scattered
+        if not add:
+            out[:k] = 0.0
+        degraded = np.zeros(rows, dtype=bool)
+        for i in range(k):
+            degraded[i] = self._scatter(b0 + i, scale[i], out[i])
+        if k == rows:
+            return degraded
         if self._tail is None:
             self._build_steady()
-        a, size, jn = self._a, self.size, self._block.shape[1]
-        toeplitz = sliding_window_view(self._tail, b1 - a)[size - b1 + 1 + a : size - b0 + a + 1][::-1]
-        coef = np.empty((rows, jn))
-        coef[:, 0] = self.weights[b0:b1]
-        coef[:, 1:] = sliding_window_view(self._pair, jn - 1)[b0 - jn + 1 : b1 - jn + 1, ::-1]
+        s0, a, size, jn = b0 + k, self._a, self.size, self._block.shape[1]
+        toeplitz = sliding_window_view(self._tail, b1 - a)[size - b1 + 1 + a : size - s0 + a + 1][::-1]
+        coef = np.empty((rows - k, jn))
+        coef[:, 0] = self.weights[s0:b1]
+        coef[:, 1:] = sliding_window_view(self._pair, jn - 1)[s0 - jn + 1 : b1 - jn + 1, ::-1]
         left = np.matmul(self._block, coef[:, :, None])[:, :, 0]
-        left *= (scale / (2.0 * self._gamma))[:, None]
-        if work is None:
-            out[:, :a] = left
-            np.multiply(toeplitz, scale[:, None], out=out[:, a:])
-            return
-        out[:, :a] += left
-        step = work.size // (b1 - a)
-        for c in range(0, rows, step):
-            r = min(step, rows - c)
-            tmp = work[: r * (b1 - a)].reshape(r, b1 - a)
-            out[c : c + r, a:] += np.multiply(toeplitz[c : c + r], scale[c : c + r, None], out=tmp)
+        left *= (scale[k:] / (2.0 * self._gamma))[:, None]
+        if add:
+            out[k:, :a] += left
+            out[k:, a:] += toeplitz * scale[k:, None]
+        else:
+            out[k:, :a] = left
+            np.multiply(toeplitz, scale[k:, None], out=out[k:, a:])
+        return degraded
 
     def _build_steady(self) -> None:
         """Row ``size`` by the scatter, zero-padded to twice its length, and the
@@ -254,22 +256,22 @@ class SubstitutionOperator:
         tail.flags.writeable = False
         self._tail = tail
 
-    def _scatter(self, m: int, scale: float, out: np.ndarray | None) -> tuple[np.ndarray, bool]:
-        """:meth:`row` node by node."""
+    def _scatter(self, m: int, scale: float, d: np.ndarray) -> bool:
+        """Add ``scale`` times row m into ``d[:m+1]`` node by node; returns
+        whether a fallback stencil was used."""
         lo, hi, edges = self._edges(m)
-        d = np.zeros(m + 1) if out is None else out[: m + 1]
         k = scale / (2.0 * self._gamma)
         if lo <= hi:
-            pair, tmp = self._pair[m - lo : m - hi - 1 : -1], self._work[: hi - lo + 1]
+            pair = self._pair[m - lo : m - hi - 1 : -1]
             for o, a in self._central:
-                d[lo + o : hi + o + 1] += np.multiply(pair, a * (k / self.h**self.n), out=tmp)
+                d[lo + o : hi + o + 1] += pair * (a * (k / self.h**self.n))
         degraded = False
         for j in edges:
             offs, wts, bn, deg = node_weights(j, m, self.n)
             degraded = degraded or deg
             c = self.weights[m] if j == 0 else self._pair[m - j]
             d[j + offs] += wts * (k * c / (bn * self.h**self.n))
-        return d, degraded
+        return degraded
 
     def apply(self, y: Sequence[float], m: int) -> float:
         """D^alpha y(x_m) from samples y_0..y_m: :meth:`apply_rows` for one row."""

@@ -18,12 +18,14 @@ back the computed double exactly; integer columns (row and column indices)
 are written as integers.  Identical inputs produce byte-identical files.
 ``deriv`` rows come from one substitution operator; ``--expr`` omits m < ceil(alpha).
 Exit codes: 0 success, 1 usage/config error, 2 numerical failure (including
-non-finite problem data) or a dense system too large for physical memory.
+non-finite problem data and a solution that overflows) or a dense system too
+large for physical memory.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -155,6 +157,8 @@ def _grid_params(cfg: ProblemConfig, args) -> tuple[float, float, int]:
     t_end = args.t_end if args.t_end is not None else cfg.t_end
     if h is None or t_end is None:
         raise UsageError("grid step and end point needed (--h/--t-end or config h/t_end)")
+    if not (math.isfinite(h) and h > 0 and math.isfinite(t_end) and t_end > 0):
+        raise UsageError(f"grid step and end point must be finite and positive, got h={h!r}, t_end={t_end!r}")
     max_rows = round(t_end / h)
     if max_rows < 1 or abs(max_rows * h - t_end) > 1e-9 * t_end:
         raise UsageError(f"step {h} does not divide t_end {t_end}")
@@ -193,7 +197,7 @@ def _cmd_deriv(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     nodes = np.arange(max_rows + 1) * h
-    values = np.array([fn(t) for t in nodes])
+    values = fn(nodes)
     if args.expr is not None:
         rows = zip(nodes[op.n :], op.apply_rows(values, range(op.n, max_rows + 1)))
     else:
@@ -209,7 +213,10 @@ def _cmd_stencil(args) -> int:
     rows = []
     for kind in kinds:
         for n in orders:
-            st = builders[kind](n)
+            try:
+                st = builders[kind](n)
+            except ValueError as exc:
+                raise UsageError(str(exc)) from exc
             weights = ",".join(str(w) for w in st.weights)
             print(f"{kind} n={n} B={st.norm_denominator} offsets {st.offsets[0]}..{st.offsets[-1]}: {weights}")
             rows.extend((kind, n, st.norm_denominator, o, w) for o, w in zip(st.offsets, st.weights))
@@ -248,6 +255,8 @@ def _cmd_converge(args) -> int:
         exact = parse(args.exact)
     except ParseError as exc:
         raise UsageError(str(exc)) from exc
+    if args.levels < 1:
+        raise UsageError(f"--levels must be at least 1, got {args.levels}")
     hs = [h / 2**i for i in range(args.levels)]
     levels = solver.convergence_study(problem, exact, hs, t_end)
     _write_csv(args.out, ["h", "max_error", "observed_order"], levels)
@@ -256,30 +265,35 @@ def _cmd_converge(args) -> int:
 
 def _cmd_oracle(args) -> int:
     h, _, max_rows = _grid_params(ProblemConfig(), args)
-    ts = np.arange(max_rows + 1) * h
+    try:
+        rows = _oracle_rows(args, np.arange(max_rows + 1) * h)
+    except ValueError as exc:  # an argument outside the oracle's range
+        raise UsageError(str(exc)) from exc
+    _write_csv(args.out, ["t", "value"], rows)
+    return 0
+
+
+def _oracle_rows(args, ts: np.ndarray) -> list:
     name = args.name
     if name == "caputo-power":
         if args.alpha is None or args.beta is None:
             raise UsageError("caputo-power needs --alpha and --beta")
-        rows = [(t, oracles.caputo_power(args.alpha, args.beta, t)) for t in ts[1:]]
+        return [(t, oracles.caputo_power(args.alpha, args.beta, t)) for t in ts[1:]]
     elif name == "mittag-leffler":
         if args.a is None or args.b is None:
             raise UsageError("mittag-leffler needs --a and --b")
-        rows = [(t, oracles.mittag_leffler(args.a, args.b, t, args.tol)) for t in ts]
+        return [(t, oracles.mittag_leffler(args.a, args.b, t, args.tol)) for t in ts]
     elif name == "relaxation":
         if args.alpha is None:
             raise UsageError("relaxation needs --alpha")
-        rows = [(t, oracles.relaxation_solution(args.alpha, t)) for t in ts]
+        return [(t, oracles.relaxation_solution(args.alpha, t)) for t in ts]
     elif name == "bessel-series":
         if args.nu is None:
             raise UsageError("bessel-series needs --nu")
         sol = oracles.bessel_series(args.nu, args.n_terms)
         print(f"gamma={_fmt(sol.gamma)} radius_hint={_fmt(sol.radius_hint)}", file=sys.stderr)
-        rows = list(zip(ts, sol(ts)))
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown oracle {name!r}")
-    _write_csv(args.out, ["t", "value"], rows)
-    return 0
+        return list(zip(ts, sol(ts)))
+    raise UsageError(f"unknown oracle {name!r}")  # pragma: no cover - argparse restricts choices
 
 
 def _cmd_assemble(args) -> int:

@@ -29,6 +29,7 @@ from .caputo import Grid
 __all__ = [
     "SolveResult",
     "SingularPivotError",
+    "NonFiniteSolutionError",
     "init_prefix",
     "eliminate",
     "solve",
@@ -48,6 +49,14 @@ class SingularPivotError(ArithmeticError):
         super().__init__(f"near-singular pivot {pivot!r} at row {m}")
         self.row = m
         self.pivot = pivot
+
+
+class NonFiniteSolutionError(ArithmeticError):
+    """Elimination overflowed: the solution is not finite from ``row`` on."""
+
+    def __init__(self, m: int):
+        super().__init__(f"solution is not finite from row {m} on (elimination overflowed)")
+        self.row = m
 
 
 @dataclass(frozen=True)
@@ -84,23 +93,29 @@ def eliminate(rows: Sequence[AssembledRow], prefix: Sequence[float]) -> tuple[np
     """Sequential forward elimination given the fixed prefix values.
 
     Rows must be consecutive starting at m = len(prefix).  Returns the full
-    solution vector and the smallest pivot magnitude.
+    solution vector and the smallest pivot magnitude; raises
+    :class:`NonFiniteSolutionError` naming the first row whose value is not
+    finite, which only an overflow in the elimination can produce.
     """
     r = len(prefix)
     total = r + len(rows)
     y = np.empty(total)
     y[:r] = prefix
     pivot_min = math.inf
-    for i, row in enumerate(rows):
-        m = row.m
-        if m != r + i:
-            raise ValueError(f"expected row {r + i}, got row {m}")
-        pivot = row.d[m] + row.p_m
-        apiv = abs(pivot)
-        if apiv == 0.0 or apiv < PIVOT_RTOL * (row.offdiag + abs(row.d[m])):
-            raise SingularPivotError(m, pivot)
-        pivot_min = min(pivot_min, apiv)
-        y[m] = (row.rhs - row.d[:m] @ y[:m]) / pivot
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, by its row
+        for i, row in enumerate(rows):
+            m = row.m
+            if m != r + i:
+                raise ValueError(f"expected row {r + i}, got row {m}")
+            pivot = row.d[m] + row.p_m
+            apiv = abs(pivot)
+            if apiv == 0.0 or apiv < PIVOT_RTOL * (row.offdiag + abs(row.d[m])):
+                raise SingularPivotError(m, pivot)
+            pivot_min = min(pivot_min, apiv)
+            y[m] = (row.rhs - row.d[:m] @ y[:m]) / pivot
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        raise NonFiniteSolutionError(int(bad[0]))
     return y, pivot_min
 
 

@@ -254,11 +254,35 @@ def test_memory_estimate_covers_the_blocks(monkeypatch):
         assemble_system(problem, 0.01, m)
     need, extra = map(int, re.search(r"needs (\d+) bytes of row coefficients and (\d+) bytes", str(info.value)).groups())
     assert need == 8 * sum(k + 1 for k in range(2, m + 1))
-    assert need + extra >= sum(owners.values()) + 8 * assembly.SCRATCH_ROWS * (m + 1)
+    assert need + extra == sum(owners.values()) + 8 * assembly.SCRATCH_ROWS * (m + 1)
     assert len(owners) < m // 8  # rows share blocks
 
 
 EXPRESSIONS = ["1 + x", "2 + sin(3*x)", "exp(-x)", "0.5 + x^2", "cos(x) - 2"]
+
+
+def assert_rows_match_the_reference(problem, h, m_max):
+    """Rows of ``assemble_system`` against the per-node ``reference_rule``.
+
+    Row m is sum_l q_l(t) ref_l, so its rounding scales with sum_l |q_l(t)|
+    ||ref_l||_1, not with the 1-norm of the sum, which terms of opposite
+    sign can cancel."""
+    rows = assemble_system(problem, h, m_max)
+    assert [row.m for row in rows] == list(range(problem.order, m_max + 1))
+    p, f = problem.p, problem.f
+    for row in rows:
+        m, t = row.m, row.m * h
+        want, size, degraded = np.zeros(m + 1), 0.0, False
+        for term in problem.terms:
+            _, ref, deg, _, _ = reference_rule(term.alpha, h, m, np.zeros(m + 1))
+            want += term.coefficient(t) * ref
+            size += abs(term.coefficient(t)) * np.sum(np.abs(ref))
+            degraded = degraded or deg
+        assert np.max(np.abs(row.d - want)) <= 1e-12 * size, m
+        assert row.degraded == degraded, m
+        assert row.offdiag == pytest.approx(float(np.abs(row.d[:m]).sum()), rel=1e-14, abs=0), m
+        assert row.p_m == pytest.approx(p(t), rel=1e-15) and row.rhs == pytest.approx(f(t), rel=1e-15)
+        assert not row.d.flags.writeable
 
 
 @settings(deadline=None, max_examples=25)
@@ -271,29 +295,25 @@ EXPRESSIONS = ["1 + x", "2 + sin(3*x)", "exp(-x)", "0.5 + x^2", "cos(x) - 2"]
 def test_block_assembly_matches_the_per_node_reference(alphas, texts, h, data):
     r = max(math.ceil(a) for a in alphas)
     steady = max(caputo.SubstitutionOperator(a, h, 1).steady for a in alphas)
-    edge = steady + assembly.BLOCK_ROWS  # first row of the second block
+    late = steady + assembly.BLOCK_ROWS
+    edge = r + assembly.BLOCK_ROWS  # first row of the second block
     m_max = data.draw(
         st.one_of(
             st.integers(r, steady - 1),  # startup rows only
-            st.sampled_from([steady, edge - 2, edge - 1, edge]),  # one row in blocks; a block boundary +-1
-            st.integers(edge + assembly.BLOCK_ROWS, edge + 2 * assembly.BLOCK_ROWS),  # several blocks
+            st.sampled_from([steady, late - 2, late - 1, late]),  # startup and steady rows in one or two blocks
+            st.sampled_from([edge - 1, edge, edge + 1]),  # a block boundary
+            st.integers(late + assembly.BLOCK_ROWS, late + 2 * assembly.BLOCK_ROWS),  # several blocks
         ),
         label="M",
     )
     qs = [parse(text) for text in texts[: len(alphas)]]
     p, f = parse(texts[3]), parse(texts[4])
     problem = FDEProblem(tuple(DerivativeTerm(a, q) for a, q in zip(alphas, qs)), p, f, (0.0,) * r)
-    rows = assemble_system(problem, h, m_max)
-    assert [row.m for row in rows] == list(range(r, m_max + 1))
-    for row in rows:
-        m, t = row.m, row.m * h
-        want, degraded = np.zeros(m + 1), False
-        for term in problem.terms:
-            _, ref, deg, _, _ = reference_rule(term.alpha, h, m, np.zeros(m + 1))
-            want += term.coefficient(t) * ref
-            degraded = degraded or deg
-        assert np.max(np.abs(row.d - want)) <= 1e-12 * np.sum(np.abs(want)), m
-        assert row.degraded == degraded, m
-        assert row.offdiag == pytest.approx(float(np.abs(row.d[:m]).sum()), rel=1e-14, abs=0), m
-        assert row.p_m == pytest.approx(p(t), rel=1e-15) and row.rhs == pytest.approx(f(t), rel=1e-15)
-        assert not row.d.flags.writeable
+    assert_rows_match_the_reference(problem, h, m_max)
+
+
+def test_cancelling_terms_are_held_to_the_rounding_of_each_term():
+    # in row 27 the terms cancel to a 1-norm of 6.2e-4, against 3.1e+1 summed over the terms
+    terms = (DerivativeTerm(0.25, parse("2 + sin(3*x)")), DerivativeTerm(0.25, parse("cos(x) - 2")))
+    problem = FDEProblem(terms, parse("1 + x"), parse("1 + x"), (0.0,))
+    assert_rows_match_the_reference(problem, 0.08726367523072202, 67)

@@ -223,3 +223,24 @@ def test_operator_row_accumulates_scaled_into_out():
                 op.row(bad)
     with pytest.raises(ValueError):
         SubstitutionOperator(1.5, 0.0, 8)
+
+
+@pytest.mark.parametrize("alpha", [0.6, 1.5, 2.4])
+def test_block_straddling_steady_equals_the_stacked_rows(alpha):
+    op = SubstitutionOperator(alpha, 0.05, 40)
+    b0, b1 = op.n, op.steady + 5  # degraded, scattered and Toeplitz rows in one block
+    scale = np.random.default_rng(7).uniform(-2.0, 2.0, b1 - b0)
+    base = np.random.default_rng(8).standard_normal((b1 - b0, b1))
+    written, added = np.full_like(base, np.nan), base.copy()
+    flags = op.rows(b0, scale, written)
+    assert np.array_equal(op.rows(b0, scale, added, add=True), flags)
+    for i, m in enumerate(range(b0, b1)):
+        d, degraded = op.row(m, scale[i])
+        assert np.array_equal(written[i, : m + 1], d) and np.all(written[i, m + 1 :] == 0.0), m
+        assert np.array_equal(added[i, : m + 1], op.row(m, scale[i], out=base[i].copy())[0]), m
+        assert np.array_equal(added[i, m + 1 :], base[i, m + 1 :]), m
+        assert flags[i] == degraded, m
+    assert flags[0] and not flags[-1]
+    for bad_b0, shape in ((op.n - 1, (b1 - b0, b1 - 1)), (b0, (b1 - b0, b1 + 1)), (op.size, (2, op.size + 2))):
+        with pytest.raises(ValueError):
+            op.rows(bad_b0, np.ones(shape[0]), np.zeros(shape))

@@ -233,6 +233,42 @@ def test_non_finite_data_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_overflowing_solution_exits_two_without_a_csv(tmp_path, capsys):
+    cfg = tmp_path / "unstable.cfg"
+    cfg.write_text('term = 2.2, "1"\nf = "1"\nic = 0, 0, 0\nh = 0.00244140625\nt_end = 5\n')
+    out = tmp_path / "y.csv"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "row 1422" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--h", "0"],
+        ["solve", "--t-end", "inf"],
+        ["solve", "--h", "nan"],
+        ["stencil", "--n", "0"],
+        ["oracle", "--name", "relaxation", "--alpha", "2.5", "--h", "0.5", "--t-end", "1"],
+        ["converge", "--exact", "x", "--levels", "0"],
+    ],
+)
+def test_argument_errors_exit_one_with_one_line(argv, relax_cfg, capsys):
+    if argv[0] in ("solve", "converge"):
+        argv = [*argv, "--config", relax_cfg]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_deriv_evaluates_the_expression_on_the_whole_grid(capsys):
+    assert main(["deriv", "--alpha", "0.5", "--expr", "1/x", "--h", "0.25", "--t-end", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "x=0.0 " in err and "np.float64" not in err
+
+
 def test_deriv_sampled_omits_rows_too_short_for_the_stencils(tmp_path):
     h = 0.015625
     out = tmp_path / "d.csv"

@@ -7,6 +7,7 @@ from fracsubst.assembly import DerivativeTerm, FDEProblem, assemble_system
 from fracsubst.expr import DomainError, parse
 from fracsubst.oracles import caputo_power, relaxation_solution
 from fracsubst.solver import (
+    NonFiniteSolutionError,
     SingularPivotError,
     calibrate,
     convergence_study,
@@ -180,6 +181,14 @@ def test_singular_pivot_detected():
     with pytest.raises(SingularPivotError) as info:
         solve(problem, 0.1, 5)
     assert info.value.row == 1
+
+
+def test_overflowing_elimination_names_the_first_non_finite_row():
+    # D^2.2 y = 1 with zero data is exponentially unstable: y overflows at t = 3.47
+    problem = FDEProblem((DerivativeTerm(2.2, ONE),), ZERO, ONE, (0.0, 0.0, 0.0))
+    with pytest.raises(NonFiniteSolutionError, match=r"not finite from row 1422 ") as info:
+        solve(problem, 5.0 / 2048, 2048)
+    assert info.value.row == 1422 and isinstance(info.value, ArithmeticError)
 
 
 def test_solution_respects_dominance_bound():
