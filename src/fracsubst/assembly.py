@@ -21,9 +21,11 @@ the first block starting at row r: each block is one C-contiguous
 (b1 - b0) x b1 array that the first term writes and later terms add into
 (:meth:`~.caputo.SubstitutionOperator.rows`), and row m's ``d`` is the
 read-only view ``block[i, :m+1]``.  The degraded flags come from the same
-calls; the off-diagonal 1-norms and the finiteness check take one pass per
-block through a scratch of ``SCRATCH_ROWS`` rows, reused for the whole
-system.
+calls; the off-diagonal 1-norms take one pass per block through a scratch
+of ``SCRATCH_ROWS`` rows, reused for the whole system.  A block is built
+with numpy's overflow and invalid-value warnings off: the first row whose
+norm or diagonal is then not finite (finite data whose products overflow)
+raises ``OverflowError`` naming it.
 
 Rows are dense.  A system takes exactly 8 sum_m (m+1) bytes of
 coefficients, the upper-triangle padding of its blocks (8 k(k-1)/2 bytes
@@ -110,9 +112,10 @@ class AssembledRow:
     ``degraded`` marks rows assembled with reduced-order fallback stencils
     (possible only for the first few rows of each derivative order).
     ``offdiag`` is the off-diagonal 1-norm sum_{k<m} |d_k|, for the pivot
-    test of the solver and the dominance check.  It is computed here, once,
-    when not given; a builder that gives it has computed it, finite, and
-    checked d finite itself, so the row is not validated twice.
+    test of the solver and the dominance check, computed here when not
+    given.  One finiteness rule holds either way: a finite norm means
+    finite terms, an infinite one sends d_0..d_{m-1} to an element check,
+    and the diagonal, p_m and f_m are always checked.
     """
 
     m: int
@@ -125,15 +128,13 @@ class AssembledRow:
     def __post_init__(self):
         if self.d.shape != (self.m + 1,):
             raise ValueError("row m must carry exactly m+1 coefficients")
-        finite = True
-        if self.offdiag is None:
+        offdiag = self.offdiag
+        if offdiag is None:
             offdiag = float(np.abs(self.d[: self.m]).sum())
-            # a finite 1-norm means finite terms; an infinite one may be an overflow of finite terms
-            finite = (math.isfinite(offdiag) or bool(np.all(np.isfinite(self.d[: self.m])))) and math.isfinite(
-                self.d[self.m]
-            )
             object.__setattr__(self, "offdiag", offdiag)
-        if not (finite and math.isfinite(self.p_m) and math.isfinite(self.rhs)):
+        # a finite 1-norm means finite terms; an infinite one may be an overflow of finite terms
+        finite = math.isfinite(offdiag) or bool(np.all(np.isfinite(self.d[: self.m])))
+        if not (finite and math.isfinite(self.d[self.m]) and math.isfinite(self.p_m) and math.isfinite(self.rhs)):
             raise ValueError(f"non-finite coefficients, p or f in row {self.m}")
 
 
@@ -183,15 +184,17 @@ def _assemble(problem: FDEProblem, h: float, ms: range) -> list[AssembledRow]:
         at = slice(b0 - ms.start, b1 - ms.start)
         block = np.empty((b1 - b0, b1))
         degraded = np.zeros(b1 - b0, dtype=bool)
-        for term, (q, op) in enumerate(zip(qs, ops)):
-            degraded |= op.rows(b0, q[at], block, add=term > 0)
-        offdiag = _offdiag(block, b0, scratch)
-        # a row whose norm or diagonal is not finite is validated by AssembledRow itself
-        ok = np.isfinite(offdiag + np.diagonal(block, b0)).tolist()
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, by its row
+            for term, (q, op) in enumerate(zip(qs, ops)):
+                degraded |= op.rows(b0, q[at], block, add=term > 0)
+            offdiag = _offdiag(block, b0, scratch)
+        bad = np.flatnonzero(~(np.isfinite(offdiag) & np.isfinite(np.diagonal(block, b0))))
+        if bad.size:
+            raise OverflowError(f"coefficients of row {b0 + bad[0]} are not finite (assembly overflowed)")
         block.flags.writeable = False
         for i, (m, deg, norm) in enumerate(zip(range(b0, b1), degraded.tolist(), offdiag.tolist())):
             j = i + at.start
-            rows.append(AssembledRow(m, block[i, : m + 1], p[j], f[j], deg, norm if ok[i] else None))
+            rows.append(AssembledRow(m, block[i, : m + 1], p[j], f[j], deg, norm))
     return rows
 
 

@@ -57,7 +57,7 @@ def _as_order(order: FracOrder | float) -> FracOrder:
 
 
 class Grid:
-    """Strictly increasing nodes x_0 = 0 < x_1 < ... < x_m.
+    """Strictly increasing finite nodes x_0 = 0 < x_1 < ... < x_m.
 
     Detects uniform spacing; ``h`` is defined only for uniform grids.
     """
@@ -66,6 +66,8 @@ class Grid:
         arr = np.asarray(nodes, dtype=float)
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError("grid needs at least two nodes")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("grid nodes must be finite")
         if arr[0] != 0.0:
             raise ValueError("grid must start at 0")
         steps = np.diff(arr)
@@ -78,8 +80,8 @@ class Grid:
 
     @classmethod
     def uniform_grid(cls, h: float, m: int) -> "Grid":
-        if h <= 0 or m < 1:
-            raise ValueError("need h > 0 and at least one step")
+        if not (math.isfinite(h) and h > 0) or m < 1:
+            raise ValueError(f"need a finite step h > 0 and at least one step, got h={h!r}, m={m}")
         return cls(np.arange(m + 1) * float(h))
 
     @property
@@ -145,7 +147,8 @@ class SubstitutionOperator:
     the coefficients of nodes 0..J, J = a - 1 + ceil(n/2).
     :meth:`rows` builds any run of consecutive rows, scattering those below
     ``steady`` node by node and the rest this way; :meth:`row` is its
-    one-row case.
+    one-row case.  Every stencil divides by h**n, so a step h with h**n = 0
+    or 1/h**n = inf is refused.
     """
 
     def __init__(self, order: FracOrder | float, h: float, size: int):
@@ -153,6 +156,8 @@ class SubstitutionOperator:
         if not (math.isfinite(h) and h > 0) or size < 1:
             raise ValueError("need a finite step h > 0 and size >= 1")
         self.alpha, self.n, self.h, self.size = order.alpha, order.n, float(h), int(size)
+        if self.h**self.n == 0.0 or not math.isfinite(1.0 / self.h**self.n):
+            raise ValueError(f"step h={self.h!r} is too small for order n={self.n}: h**n underflows")
         s = self.n - self.alpha
         i = np.arange(2.0, self.size + 1)
         w = np.empty(self.size + 1)
@@ -237,17 +242,14 @@ class SubstitutionOperator:
 
     def _build_steady(self) -> None:
         """Row ``size`` by the scatter, zero-padded to twice its length, and the
-        block of columns below ``a`` (coefficients of nodes 0..J, from
-        node_weights and the central taps)."""
+        block of columns below ``a``: the taps of nodes 0..J that reach below
+        a, all of them left-edge or central stencils in row ``steady``."""
         n2, a = (self.n + 1) // 2, self._a
         block = np.zeros((a, a + n2))
-        for j in range(n2):
+        for j in range(a + n2):
             offs, wts, bn, _ = node_weights(j, self.steady, self.n)
-            block[j + offs, j] += wts / bn
-        for j in range(n2, a + n2):
-            for o, c in self._central:
-                if j + o < a:
-                    block[j + o, j] += c
+            keep = j + offs < a
+            block[j + offs[keep], j] += wts[keep] / bn
         block /= self.h**self.n
         block.flags.writeable = False
         self._block = block

@@ -17,9 +17,12 @@ their shortest round-trip form (``repr``), so ``float()`` of a field gives
 back the computed double exactly; integer columns (row and column indices)
 are written as integers.  Identical inputs produce byte-identical files.
 ``deriv`` rows come from one substitution operator; ``--expr`` omits m < ceil(alpha).
-Exit codes: 0 success, 1 usage/config error, 2 numerical failure (including
-non-finite problem data and a solution that overflows) or a dense system too
-large for physical memory.
+Exit codes are decided in :func:`main` by exception class: 0 success; 1 and
+one ``error:`` line for a ``ValueError`` (usage, config or argument error) or
+an ``OSError`` (unreadable config, unwritable output); 2 and one ``numerical
+failure:`` line for an ``ArithmeticError`` (non-finite data, an overflowing
+row or solution, a singular pivot); 2 and ``out of memory:`` for a dense
+system larger than physical memory.
 """
 
 from __future__ import annotations
@@ -34,12 +37,12 @@ import numpy as np
 from . import conditioning, oracles, solver, stencils
 from .assembly import DerivativeTerm, FDEProblem, assemble_row, assemble_system
 from .caputo import SubstitutionOperator
-from .expr import DomainError, ParseError, parse
+from .expr import ParseError, parse
 
 __all__ = ["main", "ProblemConfig", "parse_config", "build_problem"]
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -135,11 +138,8 @@ def parse_config(text: str) -> ProblemConfig:
 
 
 def _load_config(path: str) -> ProblemConfig:
-    try:
-        with open(path) as fh:
-            return parse_config(fh.read())
-    except OSError as exc:
-        raise UsageError(f"cannot read config {path!r}: {exc}") from exc
+    with open(path) as fh:
+        return parse_config(fh.read())
 
 
 def build_problem(cfg: ProblemConfig) -> FDEProblem:
@@ -191,11 +191,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_deriv(args) -> int:
     h, _, max_rows = _grid_params(ProblemConfig(), args)
-    try:
-        fn = parse(args.expr if args.expr is not None else args.dnf)
-        op = SubstitutionOperator(args.alpha, h, max_rows)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    fn = parse(args.expr if args.expr is not None else args.dnf)
+    op = SubstitutionOperator(args.alpha, h, max_rows)
     nodes = np.arange(max_rows + 1) * h
     values = fn(nodes)
     if args.expr is not None:
@@ -213,10 +210,7 @@ def _cmd_stencil(args) -> int:
     rows = []
     for kind in kinds:
         for n in orders:
-            try:
-                st = builders[kind](n)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from exc
+            st = builders[kind](n)
             weights = ",".join(str(w) for w in st.weights)
             print(f"{kind} n={n} B={st.norm_denominator} offsets {st.offsets[0]}..{st.offsets[-1]}: {weights}")
             rows.extend((kind, n, st.norm_denominator, o, w) for o, w in zip(st.offsets, st.weights))
@@ -251,10 +245,7 @@ def _cmd_converge(args) -> int:
     cfg = _load_config(args.config)
     problem = build_problem(cfg)
     h, t_end, _ = _grid_params(cfg, args)
-    try:
-        exact = parse(args.exact)
-    except ParseError as exc:
-        raise UsageError(str(exc)) from exc
+    exact = parse(args.exact)
     if args.levels < 1:
         raise UsageError(f"--levels must be at least 1, got {args.levels}")
     hs = [h / 2**i for i in range(args.levels)]
@@ -265,35 +256,28 @@ def _cmd_converge(args) -> int:
 
 def _cmd_oracle(args) -> int:
     h, _, max_rows = _grid_params(ProblemConfig(), args)
-    try:
-        rows = _oracle_rows(args, np.arange(max_rows + 1) * h)
-    except ValueError as exc:  # an argument outside the oracle's range
-        raise UsageError(str(exc)) from exc
-    _write_csv(args.out, ["t", "value"], rows)
-    return 0
-
-
-def _oracle_rows(args, ts: np.ndarray) -> list:
+    ts = np.arange(max_rows + 1) * h
     name = args.name
     if name == "caputo-power":
         if args.alpha is None or args.beta is None:
             raise UsageError("caputo-power needs --alpha and --beta")
-        return [(t, oracles.caputo_power(args.alpha, args.beta, t)) for t in ts[1:]]
+        rows = [(t, oracles.caputo_power(args.alpha, args.beta, t)) for t in ts[1:]]
     elif name == "mittag-leffler":
         if args.a is None or args.b is None:
             raise UsageError("mittag-leffler needs --a and --b")
-        return [(t, oracles.mittag_leffler(args.a, args.b, t, args.tol)) for t in ts]
+        rows = [(t, oracles.mittag_leffler(args.a, args.b, t, args.tol)) for t in ts]
     elif name == "relaxation":
         if args.alpha is None:
             raise UsageError("relaxation needs --alpha")
-        return [(t, oracles.relaxation_solution(args.alpha, t)) for t in ts]
-    elif name == "bessel-series":
+        rows = [(t, oracles.relaxation_solution(args.alpha, t)) for t in ts]
+    else:  # bessel-series; argparse restricts the choices
         if args.nu is None:
             raise UsageError("bessel-series needs --nu")
         sol = oracles.bessel_series(args.nu, args.n_terms)
         print(f"gamma={_fmt(sol.gamma)} radius_hint={_fmt(sol.radius_hint)}", file=sys.stderr)
-        return list(zip(ts, sol(ts)))
-    raise UsageError(f"unknown oracle {name!r}")  # pragma: no cover - argparse restricts choices
+        rows = list(zip(ts, sol(ts)))
+    _write_csv(args.out, ["t", "value"], rows)
+    return 0
 
 
 def _cmd_assemble(args) -> int:
@@ -377,10 +361,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except UsageError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (solver.SingularPivotError, oracles.ConvergenceError, DomainError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -230,6 +230,16 @@ def test_row_rejects_non_finite_data():
         AssembledRow(1, np.zeros(2), 0.0, math.nan, False)
 
 
+def test_a_given_norm_is_held_to_the_same_finiteness_rule():
+    with pytest.raises(ValueError, match="row 1"):
+        AssembledRow(1, np.array([math.inf, 1.0]), 0.0, 0.0, False, offdiag=math.inf)
+    with pytest.raises(ValueError, match="row 1"):
+        AssembledRow(1, np.array([1.0, math.nan]), 0.0, 0.0, False, offdiag=1.0)
+    # an infinite norm of finite terms is an overflow of the sum, not of the row
+    row = AssembledRow(2, np.array([1e308, 1e308, 1.0]), 0.0, 0.0, False, offdiag=math.inf)
+    assert row.offdiag == math.inf
+
+
 @pytest.mark.parametrize("h", [2.0**-10, 0.05, 1.0])
 @pytest.mark.parametrize("n", [1, 2])
 def test_weights_stay_accurate_as_alpha_approaches_n(n, h):

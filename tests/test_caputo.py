@@ -39,6 +39,22 @@ def test_grid_validation():
         Grid([0.0])
 
 
+def test_grid_rejects_non_finite_nodes():
+    for nodes in ([0.0, math.nan, 1.0], [0.0, 0.5, math.inf]):
+        with pytest.raises(ValueError, match="grid nodes must be finite"):
+            Grid(nodes)
+    with pytest.raises(ValueError, match=r"finite step h > 0 .* got h=nan"):
+        Grid.uniform_grid(math.nan, 4)
+
+
+@pytest.mark.parametrize("alpha, h", [(1.5, 1e-200), (1.5, 1e-155), (0.5, 1e-310), (2.5, 1e-120)])
+def test_operator_refuses_a_step_whose_power_underflows(alpha, h):
+    # 1e-155**2 and 1e-310 are subnormal: h**n is not 0 but 1/h**n overflows
+    with pytest.raises(ValueError, match=rf"^step h={h!r} is too small for order n={math.ceil(alpha)}: "):
+        SubstitutionOperator(alpha, h, 8)
+    SubstitutionOperator(alpha, 1e-90, 8)
+
+
 def test_constant_has_zero_derivative():
     for alpha in (0.3, 0.5, 0.9):
         assert caputo_substitution(lambda x: 0.0, alpha, Grid.uniform_grid(0.1, 10)) == 0.0

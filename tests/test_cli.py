@@ -263,6 +263,54 @@ def test_argument_errors_exit_one_with_one_line(argv, relax_cfg, capsys):
     assert "Traceback" not in captured.err and captured.out == ""
 
 
+OVERFLOW_CFG = 'term = 0.5, "1e306"\np = "1"\nf = "1"\nic = 0\nh = 0.0009765625\nt_end = 1\n'
+CALIBRATE_CFG = 'term = 1.5, "1"\np = "1"\nf = "0"\nic = {ic}\nh = 0.1\nt_end = 1\ncalibrate = 1e-4, {t_star}, 0.5\n'
+
+
+@pytest.mark.parametrize(
+    "command, config, out_name, code, last_line",
+    [
+        ("solve", OVERFLOW_CFG, "y.csv", 2, "numerical failure: coefficients of row 2 are not finite "),
+        ("condition", OVERFLOW_CFG, "y.csv", 2, "numerical failure: coefficients of row 2 are not finite "),
+        ("assemble", OVERFLOW_CFG, "y.csv", 2, "numerical failure: coefficients of row 2 are not finite "),
+        ("solve", CALIBRATE_CFG.format(ic="0, 0", t_star=1.33), "y.csv", 1,
+         "error: reference point 1.33 is not a grid node"),
+        ("solve", CALIBRATE_CFG.format(ic="1, 0", t_star=1.0), "y.csv", 1,
+         "error: calibration expects zero initial data"),
+        ("solve", RELAX_CFG, "missing/y.csv", 1, "error: [Errno 2] No such file or directory: "),
+        ("solve", RELAX_CFG.replace("# relaxation", "# caf\xe9 relaxation"), "y.csv", 1,
+         "error: 'utf-8' codec can't decode byte 0xe9 "),
+    ],
+    ids=["overflow", "overflow-condition", "overflow-assemble", "off-grid-reference", "nonzero-data",
+         "unwritable-out", "non-utf8-config"],
+)
+def test_failures_exit_by_exception_class_with_one_line(command, config, out_name, code, last_line, tmp_path, capsys):
+    cfg = tmp_path / "case.cfg"
+    cfg.write_bytes(config.encode("latin-1"))
+    out = tmp_path / out_name
+    dump = ["--dump"] if command == "assemble" else []  # so that every command writes a CSV
+    assert main([command, "--config", str(cfg), "--out", str(out), *dump]) == code
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert "Traceback" not in err and lines[-1].startswith(last_line), err
+    # a solve that fails on writing its CSV has already printed its summary line
+    assert len(lines) == (2 if out_name.startswith("missing/") else 1), err
+    if out_name.startswith("missing/"):
+        assert str(out) in lines[-1]
+    assert not out.exists()
+
+
+FIG1 = str(Path(__file__).resolve().parents[1] / "demos" / "fig1.cfg")
+
+
+@pytest.mark.parametrize("argv", [["deriv", "--alpha", "1.5", "--expr", "t^3"], ["solve", "--config", FIG1]])
+def test_step_too_small_for_the_order_exits_one(argv, tmp_path, capsys):
+    out = tmp_path / "y.csv"
+    assert main([*argv, "--h", "1e-200", "--t-end", "1e-198", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: step h=1e-200 is too small for order n=2: h**n underflows\n"
+    assert not out.exists()
+
+
 def test_deriv_evaluates_the_expression_on_the_whole_grid(capsys):
     assert main(["deriv", "--alpha", "0.5", "--expr", "1/x", "--h", "0.25", "--t-end", "1"]) == 2
     err = capsys.readouterr().err

@@ -191,6 +191,15 @@ def test_overflowing_elimination_names_the_first_non_finite_row():
     assert info.value.row == 1422 and isinstance(info.value, ArithmeticError)
 
 
+def test_overflowing_assembled_row_is_an_overflow_error_naming_the_row():
+    # finite data whose products overflow: 1e306 times the row-2 coefficients is inf
+    problem = FDEProblem((DerivativeTerm(0.5, parse("1e306")),), ONE, ONE, (0.0,))
+    for build in (solve, assemble_system):
+        with pytest.raises(OverflowError, match=r"^coefficients of row 2 are not finite "):
+            build(problem, 2.0**-10, 2**10)
+    assert len(assemble_system(problem, 2.0**-10, 1)) == 1  # row 1 is finite
+
+
 def test_solution_respects_dominance_bound():
     problem = FDEProblem((DerivativeTerm(0.5, ONE),), parse("100"), parse("3*sin(7*x)"), (0.2,))
     result = solve(problem, 0.05, 40)
