@@ -16,9 +16,10 @@ serve as test vectors only.  q_l, p and f are evaluated once each, on the
 array of row times when they are :class:`~.expr.Expression` trees and point
 by point otherwise; f is never evaluated at t = 0.
 
-Rows are built in blocks of ``BLOCK_ROWS`` consecutive rows m = b0..b1-1,
-the first block starting at row r: each block is one C-contiguous
-(b1 - b0) x b1 array that the first term writes and later terms add into
+Rows are built in blocks of the operator's ``BLOCK_ROWS`` (from
+:mod:`.caputo`) consecutive rows m = b0..b1-1, the first block starting at
+row r: each block is one C-contiguous (b1 - b0) x b1 array that the first
+term writes and later terms add into
 (:meth:`~.caputo.SubstitutionOperator.rows`), and row m's ``d`` is the
 read-only view ``block[i, :m+1]``.  The degraded flags come from the same
 calls; the off-diagonal 1-norms take one pass per block through a scratch
@@ -43,11 +44,10 @@ from typing import Callable
 
 import numpy as np
 
-from .caputo import FracOrder, SubstitutionOperator
+from .caputo import BLOCK_ROWS, FracOrder, SubstitutionOperator
 from .expr import Expression
 
-# rows are built BLOCK_ROWS at a time; their norms go through SCRATCH_ROWS rows at a time
-BLOCK_ROWS = 64
+# the norms of a block's rows go through SCRATCH_ROWS rows at a time
 SCRATCH_ROWS = 8
 
 __all__ = [
@@ -130,7 +130,8 @@ class AssembledRow:
             raise ValueError("row m must carry exactly m+1 coefficients")
         offdiag = self.offdiag
         if offdiag is None:
-            offdiag = float(np.abs(self.d[: self.m]).sum())
+            with np.errstate(over="ignore"):  # an infinite norm goes to the element check below
+                offdiag = float(np.abs(self.d[: self.m]).sum())
             object.__setattr__(self, "offdiag", offdiag)
         # a finite 1-norm means finite terms; an infinite one may be an overflow of finite terms
         finite = math.isfinite(offdiag) or bool(np.all(np.isfinite(self.d[: self.m])))

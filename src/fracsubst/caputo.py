@@ -22,6 +22,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .stencils import central, node_weights
 
+BLOCK_ROWS = 64  # an operator's rows are built, and applied to samples, this many at a time
+
 __all__ = [
     "FracOrder",
     "Grid",
@@ -100,12 +102,13 @@ def _as_grid(grid: Grid | Sequence[float]) -> Grid:
 def substitution_weights(nodes: np.ndarray, exponent: float) -> np.ndarray:
     """Telescoping weights (t-x_{k-1})**s - (t-x_k)**s, k = 1..m, t = x_m.
 
-    Evaluated as a**s * -expm1(s*log(b/a)) to avoid the cancellation that
-    the direct difference suffers when s is near 0 (alpha near n).
+    Evaluated as a**s * -expm1(s*log1p(-(x_k - x_{k-1})/a)), a = t - x_{k-1}:
+    nothing cancels as s -> 0 (alpha -> n), and the log takes no rounded
+    ratio (t-x_k)/a, which would cost about a/(x_k - x_{k-1}) ulps.
     """
     a = nodes[-1] - nodes[:-1]
     w = a**exponent
-    w[:-1] *= -np.expm1(exponent * np.log((nodes[-1] - nodes[1:-1]) / a[:-1]))
+    w[:-1] *= -np.expm1(exponent * np.log1p(-np.diff(nodes[:-1]) / a[:-1]))
     return w
 
 
@@ -147,8 +150,8 @@ class SubstitutionOperator:
     the coefficients of nodes 0..J, J = a - 1 + ceil(n/2).
     :meth:`rows` builds any run of consecutive rows, scattering those below
     ``steady`` node by node and the rest this way; :meth:`row` is its
-    one-row case.  Every stencil divides by h**n, so a step h with h**n = 0
-    or 1/h**n = inf is refused.
+    one-row case; :meth:`apply_rows` multiplies them by samples.  Every
+    stencil divides by h**n, so a step h with h**n = 0 or 1/h**n = inf is refused.
     """
 
     def __init__(self, order: FracOrder | float, h: float, size: int):
@@ -174,13 +177,6 @@ class SubstitutionOperator:
         self.steady = self._a + n2 + self.n
         self._tail: np.ndarray | None = None  # row `size` at scale 1 and zeros, built by the first steady row
         self._block: np.ndarray | None = None
-
-    def _edges(self, m: int) -> tuple[int, int, list[int]]:
-        """Central nodes lo..hi of row m and the nodes outside them."""
-        if not self.n <= m <= self.size:
-            raise ValueError(f"row m={m} outside {self.n}..{self.size} for order n={self.n}")
-        lo, hi = (self.n + 1) // 2, m - (self.n + 1) // 2
-        return lo, hi, [*range(min(lo, m + 1)), *range(max(lo, hi + 1), m + 1)]
 
     def quadrature_row(self, m: int) -> np.ndarray:
         """Weights of f^(n)(x_0..x_m) in the trapezoid sum for D^alpha f(x_m)."""
@@ -261,14 +257,14 @@ class SubstitutionOperator:
     def _scatter(self, m: int, scale: float, d: np.ndarray) -> bool:
         """Add ``scale`` times row m into ``d[:m+1]`` node by node; returns
         whether a fallback stencil was used."""
-        lo, hi, edges = self._edges(m)
+        lo, hi = (self.n + 1) // 2, m - (self.n + 1) // 2
         k = scale / (2.0 * self._gamma)
         if lo <= hi:
             pair = self._pair[m - lo : m - hi - 1 : -1]
             for o, a in self._central:
                 d[lo + o : hi + o + 1] += pair * (a * (k / self.h**self.n))
         degraded = False
-        for j in edges:
+        for j in [*range(min(lo, m + 1)), *range(max(lo, hi + 1), m + 1)]:
             offs, wts, bn, deg = node_weights(j, m, self.n)
             degraded = degraded or deg
             c = self.weights[m] if j == 0 else self._pair[m - j]
@@ -277,30 +273,26 @@ class SubstitutionOperator:
 
     def apply(self, y: Sequence[float], m: int) -> float:
         """D^alpha y(x_m) from samples y_0..y_m: :meth:`apply_rows` for one row."""
-        return self.apply_rows(y, [m])[0]
+        return float(self.apply_rows(y, m, m + 1)[0])
 
-    def apply_rows(self, y: Sequence[float], ms: Sequence[int]) -> list[float]:
-        """D^alpha y(x_m) for each m in ``ms`` from samples y_0..y_m: stencil
-        derivatives first, then the trapezoid sum, summed exactly.
-
-        The central-stencil derivatives do not depend on the row, so they are
-        taken once for every node; each row redoes only its edge nodes."""
+    def apply_rows(self, y: Sequence[float], b0: int, b1: int) -> np.ndarray:
+        """D^alpha y(x_m), m = b0..b1-1 (n <= b0 < b1 <= size + 1), from samples
+        y_0..y_{b1-1}: the rows of :meth:`rows`, ``BLOCK_ROWS`` at a time, times
+        the samples, with numpy's overflow warnings off; the first row whose
+        value is then not finite raises ``OverflowError`` naming it."""
+        if not self.n <= b0 < b1 <= self.size + 1:
+            raise ValueError(f"rows {b0}..{b1 - 1} are not a non-empty run of rows {self.n}..{self.size}")
         y = np.asarray(y, dtype=float)
-        edges = [self._edges(m)[2] for m in ms]
-        n2, hn = (self.n + 1) // 2, self.h**self.n
-        top = max(ms) - n2  # the last node that is central in some row
-        interior = np.zeros(max(ms) + 1)
-        if n2 <= top:
-            for o, a in self._central:
-                interior[n2 : top + 1] += a * y[n2 + o : top + o + 1]
-            interior[n2 : top + 1] /= hn
-        values = []
-        for m, row_edges in zip(ms, edges):
-            g = interior[: m + 1].copy()
-            for j in row_edges:
-                offs, wts, bn, _ = node_weights(j, m, self.n)
-                g[j] = (wts @ y[j + offs]) / (bn * hn)
-            values.append(math.fsum((0.5 * (g[:-1] + g[1:]) * self.weights[m:0:-1]).tolist()) / self._gamma)
+        values = np.empty(b1 - b0)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, by its row
+            for c0 in range(b0, b1, BLOCK_ROWS):
+                c1 = min(c0 + BLOCK_ROWS, b1)
+                block = np.empty((c1 - c0, c1))
+                self.rows(c0, np.ones(c1 - c0), block)
+                np.matmul(block, y[:c1], out=values[c0 - b0 : c1 - b0])
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise OverflowError(f"D^alpha of the samples is not finite in row {b0 + bad[0]}")
         return values
 
 

@@ -16,7 +16,8 @@ CSV output has a header row and '\n' line endings.  Floats are written in
 their shortest round-trip form (``repr``), so ``float()`` of a field gives
 back the computed double exactly; integer columns (row and column indices)
 are written as integers.  Identical inputs produce byte-identical files.
-``deriv`` rows come from one substitution operator; ``--expr`` omits m < ceil(alpha).
+``deriv`` rows come from one substitution operator; ``--expr`` omits m < ceil(alpha);
+a non-finite ``deriv`` value (finite samples whose sum overflows) exits 2.
 Exit codes are decided in :func:`main` by exception class: 0 success; 1 and
 one ``error:`` line for a ``ValueError`` (usage, config or argument error) or
 an ``OSError`` (unreadable config, unwritable output); 2 and one ``numerical
@@ -196,9 +197,14 @@ def _cmd_deriv(args) -> int:
     nodes = np.arange(max_rows + 1) * h
     values = fn(nodes)
     if args.expr is not None:
-        rows = zip(nodes[op.n :], op.apply_rows(values, range(op.n, max_rows + 1)))
+        rows = zip(nodes[op.n :], op.apply_rows(values, op.n, max_rows + 1))
     else:
-        rows = [(nodes[m], op.quadrature_row(m) @ values[: m + 1]) for m in range(1, max_rows + 1)]
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, by its row
+            dv = np.array([op.quadrature_row(m) @ values[: m + 1] for m in range(1, max_rows + 1)])
+        bad = np.flatnonzero(~np.isfinite(dv))
+        if bad.size:
+            raise OverflowError(f"D^alpha of the n-th derivative is not finite in row {1 + bad[0]}")
+        rows = zip(nodes[1:], dv)
     _write_csv(args.out, ["t", "value"], rows)
     return 0
 

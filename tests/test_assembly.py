@@ -235,9 +235,11 @@ def test_a_given_norm_is_held_to_the_same_finiteness_rule():
         AssembledRow(1, np.array([math.inf, 1.0]), 0.0, 0.0, False, offdiag=math.inf)
     with pytest.raises(ValueError, match="row 1"):
         AssembledRow(1, np.array([1.0, math.nan]), 0.0, 0.0, False, offdiag=1.0)
-    # an infinite norm of finite terms is an overflow of the sum, not of the row
-    row = AssembledRow(2, np.array([1e308, 1e308, 1.0]), 0.0, 0.0, False, offdiag=math.inf)
-    assert row.offdiag == math.inf
+    # an infinite norm of finite terms is an overflow of the sum, not of the row;
+    # computed here, it overflows without a warning
+    for given in (math.inf, None):
+        row = AssembledRow(2, np.array([1e308, 1e308, 1.0]), 0.0, 0.0, False, offdiag=given)
+        assert row.offdiag == math.inf
 
 
 @pytest.mark.parametrize("h", [2.0**-10, 0.05, 1.0])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracsubst.caputo import (
+    BLOCK_ROWS,
     FracOrder,
     Grid,
     SubstitutionOperator,
@@ -223,8 +224,47 @@ def test_operator_matches_plain_reference(alpha, h, data):
     assert np.max(np.abs(d - row)) <= 1e-12 * np.sum(np.abs(row))
     assert deg == degraded
     assert abs(op.apply(y, m) - value) <= 1e-12 * scale
-    # several rows in one call share their central-stencil derivatives and give the one-row values
-    assert op.apply_rows(y, [n, m, m]) == [op.apply(y[: n + 1], n), op.apply(y, m), op.apply(y, m)]
+    # rows n..m in one call: the first and the last are held to their references
+    values = op.apply_rows(y, n, m + 1)
+    assert abs(values[-1] - value) <= 1e-12 * scale
+    _, _, _, value, scale = reference_rule(alpha, h, n, y)
+    assert abs(values[0] - value) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("alpha", [0.6, 1.5, 2.4])
+def test_apply_rows_crosses_steady_and_block_boundaries(alpha):
+    n = math.ceil(alpha)
+    probe = SubstitutionOperator(alpha, 0.05, n)
+    size = probe.steady + 2 * BLOCK_ROWS + 3
+    op = SubstitutionOperator(alpha, 0.05, size)
+    y = np.random.default_rng(11).standard_normal(size + 1)
+    values = op.apply_rows(y, n, size + 1)
+    assert values.shape == (size + 1 - n,)
+    bounds = []
+    for m, got in zip(range(n, size + 1), values):
+        _, _, _, value, scale = reference_rule(alpha, 0.05, m, y)
+        assert abs(got - value) <= 1e-12 * scale, m
+        assert op.apply(y, m) == op.apply_rows(y, m, m + 1)[0]
+        bounds.append(1e-12 * scale)
+    mid = n + BLOCK_ROWS // 2 + 1  # later blocks start at other rows
+    assert np.all(np.abs(op.apply_rows(y, mid, size + 1) - values[mid - n :]) <= bounds[mid - n :])
+    for b0, b1 in ((n - 1, n + 1), (n, n), (n, size + 2)):
+        with pytest.raises(ValueError):
+            op.apply_rows(y, b0, b1)
+
+
+def test_sampled_overflow_names_its_row():
+    g = Grid.uniform_grid(0.25, 4)
+    with pytest.raises(OverflowError, match="row 4"):
+        caputo_substitution_sampled(1.7e308 * g.nodes, 0.5, g)
+
+
+def test_weights_of_far_pairs_match_the_operator():
+    # log1p of the step ratio: the rounded ratio of far nodes cost 3.6e-12 here
+    alpha, h, m = 0.5, 2.0**-16, 2**16
+    op = SubstitutionOperator(alpha, h, m)
+    w = substitution_weights(np.arange(m + 1) * h, math.ceil(alpha) - alpha)[::-1]
+    assert np.max(np.abs(w - op.weights[1:]) / op.weights[1:]) <= 1e-15
 
 
 def test_operator_row_accumulates_scaled_into_out():

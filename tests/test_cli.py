@@ -317,6 +317,18 @@ def test_deriv_evaluates_the_expression_on_the_whole_grid(capsys):
     assert err.startswith("numerical failure: ") and "x=0.0 " in err and "np.float64" not in err
 
 
+@pytest.mark.parametrize(
+    "source, h, t_end, row", [(["--expr", "1.7e308*x"], "0.25", "1", 2), (["--dnf", "1e308"], "100000", "1000000", 1)]
+)
+def test_deriv_overflow_exits_two_with_one_line(source, h, t_end, row, tmp_path, capsys):
+    # finite samples whose sum overflows: no warning, no CSV
+    out = tmp_path / "d.csv"
+    assert main(["deriv", "--alpha", "0.5", *source, "--h", h, "--t-end", t_end, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1 and f"in row {row}" in err, err
+    assert not out.exists()
+
+
 def test_deriv_sampled_omits_rows_too_short_for_the_stencils(tmp_path):
     h = 0.015625
     out = tmp_path / "d.csv"
