@@ -7,8 +7,10 @@ from the Caputo integral, leaving
 
 which the trapezoidal rule turns into a finite sum with the telescoping
 weights (t - x_{k-1})**(n-a) - (t - x_k)**(n-a) > 0 on any grid.  On the
-uniform grid one :class:`SubstitutionOperator` per order gives the sampled
-derivative, the equation rows of :mod:`.assembly` and ``fracsubst deriv``.
+uniform grid one :class:`SubstitutionOperator` per order gives the equation
+rows of :mod:`.assembly` and every D^a of samples: of f through its stencil
+rows (the sampled derivative, ``fracsubst deriv --expr``), of f^(n) as one
+convolution with its weights (``fracsubst deriv --dnf``).
 """
 
 from __future__ import annotations
@@ -149,9 +151,11 @@ class SubstitutionOperator:
     and are a slice of row ``size``; columns below a are a fixed block times
     the coefficients of nodes 0..J, J = a - 1 + ceil(n/2).
     :meth:`rows` builds any run of consecutive rows, scattering those below
-    ``steady`` node by node and the rest this way; :meth:`row` is its
-    one-row case; :meth:`apply_rows` multiplies them by samples.  Every
-    stencil divides by h**n, so a step h with h**n = 0 or 1/h**n = inf is refused.
+    ``steady`` node by node and the rest this way; :meth:`apply_rows`
+    multiplies them by samples of f.  :meth:`quadrature` takes samples of
+    f^(n) instead and needs no stencil: it convolves ``weights`` with their
+    trapezoid pairs.  Every stencil divides by h**n, so a step h with h**n =
+    0 or 1/h**n = inf is refused.
     """
 
     def __init__(self, order: FracOrder | float, h: float, size: int):
@@ -177,20 +181,6 @@ class SubstitutionOperator:
         self.steady = self._a + n2 + self.n
         self._tail: np.ndarray | None = None  # row `size` at scale 1 and zeros, built by the first steady row
         self._block: np.ndarray | None = None
-
-    def quadrature_row(self, m: int) -> np.ndarray:
-        """Weights of f^(n)(x_0..x_m) in the trapezoid sum for D^alpha f(x_m)."""
-        if not 1 <= m <= self.size:
-            raise ValueError(f"row m={m} outside 1..{self.size}")
-        return np.concatenate(([self.weights[m]], self._pair[m - 1 :: -1])) / (2.0 * self._gamma)
-
-    def row(self, m: int, scale: float = 1.0, out: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
-        """``scale`` times the coefficients of y_0..y_m in D^alpha y(x_m),
-        added into ``out[:m+1]`` (a fresh zero array by default); also returns
-        whether a reduced-order fallback stencil was used.  The one-row case
-        of :meth:`rows`."""
-        d = np.zeros(m + 1) if out is None else out[: m + 1]
-        return d, bool(self.rows(m, np.array([scale], dtype=float), d[None, :], add=True)[0])
 
     def rows(self, b0: int, scale: np.ndarray, out: np.ndarray, add: bool = False) -> np.ndarray:
         """``scale[i]`` times row m = b0 + i, for the rows b0..b1-1 (b1 = b0 +
@@ -271,18 +261,17 @@ class SubstitutionOperator:
             d[j + offs] += wts * (k * c / (bn * self.h**self.n))
         return degraded
 
-    def apply(self, y: Sequence[float], m: int) -> float:
-        """D^alpha y(x_m) from samples y_0..y_m: :meth:`apply_rows` for one row."""
-        return float(self.apply_rows(y, m, m + 1)[0])
-
     def apply_rows(self, y: Sequence[float], b0: int, b1: int) -> np.ndarray:
         """D^alpha y(x_m), m = b0..b1-1 (n <= b0 < b1 <= size + 1), from samples
-        y_0..y_{b1-1}: the rows of :meth:`rows`, ``BLOCK_ROWS`` at a time, times
-        the samples, with numpy's overflow warnings off; the first row whose
-        value is then not finite raises ``OverflowError`` naming it."""
+        y_0..y_{b1-1} (a 1-D array of at least b1): the rows of :meth:`rows`,
+        ``BLOCK_ROWS`` at a time, times the samples, with numpy's overflow
+        warnings off; the first row whose value is then not finite raises
+        ``OverflowError`` naming it."""
         if not self.n <= b0 < b1 <= self.size + 1:
             raise ValueError(f"rows {b0}..{b1 - 1} are not a non-empty run of rows {self.n}..{self.size}")
         y = np.asarray(y, dtype=float)
+        if y.ndim != 1 or y.size < b1:
+            raise ValueError(f"rows {b0}..{b1 - 1} need {b1} samples y_0..y_{b1 - 1}, got shape {y.shape}")
         values = np.empty(b1 - b0)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, by its row
             for c0 in range(b0, b1, BLOCK_ROWS):
@@ -290,10 +279,30 @@ class SubstitutionOperator:
                 block = np.empty((c1 - c0, c1))
                 self.rows(c0, np.ones(c1 - c0), block)
                 np.matmul(block, y[:c1], out=values[c0 - b0 : c1 - b0])
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            raise OverflowError(f"D^alpha of the samples is not finite in row {b0 + bad[0]}")
-        return values
+        return _finite_rows(values, b0, "the samples")
+
+    def quadrature(self, g: Sequence[float]) -> np.ndarray:
+        """D^alpha f(x_m), m = 1..size, from the samples g_0..g_size of f^(n):
+        the trapezoid pairs g_{k-1}/2 + g_k/2 (halved first, so that finite
+        samples near the largest float add without overflow) convolved with
+        ``weights[1:]``, over Gamma(n+1-alpha), with numpy's overflow warnings
+        off; the first row whose value is then not finite raises
+        ``OverflowError`` naming it."""
+        g = np.asarray(g, dtype=float)
+        if g.shape != (self.size + 1,):
+            raise ValueError(f"{self.size} rows need {self.size + 1} samples g_0..g_{self.size}, got shape {g.shape}")
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, by its row
+            values = np.convolve(self.weights[1:], 0.5 * g[:-1] + 0.5 * g[1:])[: self.size] / self._gamma
+        return _finite_rows(values, 1, "the n-th derivative")
+
+
+def _finite_rows(values: np.ndarray, first: int, source: str) -> np.ndarray:
+    """``values`` of rows first, first+1, ...; raises ``OverflowError`` naming
+    the first row whose value is not finite."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise OverflowError(f"D^alpha of {source} is not finite in row {first + bad[0]}")
+    return values
 
 
 def caputo_substitution_sampled(
@@ -301,15 +310,16 @@ def caputo_substitution_sampled(
     order: FracOrder | float,
     grid: Grid | Sequence[float],
 ) -> float:
-    """Caputo derivative at t = x_m from samples of f on a uniform grid,
-    by :meth:`SubstitutionOperator.apply` (needs m >= n)."""
+    """Caputo derivative at t = x_m from samples of f on a uniform grid: the
+    last row of :meth:`SubstitutionOperator.apply_rows` (needs m >= n)."""
     grid = _as_grid(grid)
     if not grid.uniform:
         raise ValueError("sampled evaluation requires a uniform grid")
     y = np.asarray(samples, dtype=float)
     if y.shape != grid.nodes.shape:
         raise ValueError("samples must match the grid nodes")
-    return SubstitutionOperator(order, grid.h, grid.m).apply(y, grid.m)
+    m = grid.m
+    return float(SubstitutionOperator(order, grid.h, m).apply_rows(y, m, m + 1)[0])
 
 
 def riemann_liouville(

@@ -16,8 +16,10 @@ CSV output has a header row and '\n' line endings.  Floats are written in
 their shortest round-trip form (``repr``), so ``float()`` of a field gives
 back the computed double exactly; integer columns (row and column indices)
 are written as integers.  Identical inputs produce byte-identical files.
-``deriv`` rows come from one substitution operator; ``--expr`` omits m < ceil(alpha);
-a non-finite ``deriv`` value (finite samples whose sum overflows) exits 2.
+``deriv`` rows come from one substitution operator: ``--expr`` samples f
+through its stencil rows and omits m < ceil(alpha), ``--dnf`` samples f^(n)
+through its quadrature; a non-finite ``deriv`` value (finite samples whose
+sum overflows) exits 2.
 Exit codes are decided in :func:`main` by exception class: 0 success; 1 and
 one ``error:`` line for a ``ValueError`` (usage, config or argument error) or
 an ``OSError`` (unreadable config, unwritable output); 2 and one ``numerical
@@ -138,11 +140,6 @@ def parse_config(text: str) -> ProblemConfig:
     return cfg
 
 
-def _load_config(path: str) -> ProblemConfig:
-    with open(path) as fh:
-        return parse_config(fh.read())
-
-
 def build_problem(cfg: ProblemConfig) -> FDEProblem:
     try:
         terms = tuple(DerivativeTerm(alpha, parse(expr)) for alpha, expr in cfg.terms)
@@ -166,14 +163,20 @@ def _grid_params(cfg: ProblemConfig, args) -> tuple[float, float, int]:
     return float(h), float(t_end), max_rows
 
 
+def _load_problem(args) -> tuple[ProblemConfig, FDEProblem, float, float, int]:
+    """Read ``--config``, build its problem, then take its grid: returns the
+    config, the problem, h, t_end and the number of steps."""
+    with open(args.config) as fh:
+        cfg = parse_config(fh.read())
+    return (cfg, build_problem(cfg), *_grid_params(cfg, args))
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def _cmd_solve(args) -> int:
-    cfg = _load_config(args.config)
-    problem = build_problem(cfg)
-    h, _, max_rows = _grid_params(cfg, args)
+    cfg, problem, h, _, max_rows = _load_problem(args)
     if cfg.calibrate is not None:
         eps, t_star, u_star = cfg.calibrate
         result = solver.calibrate(problem, eps, (t_star, u_star), h, max_rows)
@@ -199,12 +202,7 @@ def _cmd_deriv(args) -> int:
     if args.expr is not None:
         rows = zip(nodes[op.n :], op.apply_rows(values, op.n, max_rows + 1))
     else:
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, by its row
-            dv = np.array([op.quadrature_row(m) @ values[: m + 1] for m in range(1, max_rows + 1)])
-        bad = np.flatnonzero(~np.isfinite(dv))
-        if bad.size:
-            raise OverflowError(f"D^alpha of the n-th derivative is not finite in row {1 + bad[0]}")
-        rows = zip(nodes[1:], dv)
+        rows = zip(nodes[1:], op.quadrature(values))
     _write_csv(args.out, ["t", "value"], rows)
     return 0
 
@@ -226,11 +224,8 @@ def _cmd_stencil(args) -> int:
 
 
 def _cmd_condition(args) -> int:
-    cfg = _load_config(args.config)
-    problem = build_problem(cfg)
-    h, _, max_rows = _grid_params(cfg, args)
-    rows = assemble_system(problem, h, max_rows)
-    report = conditioning.check(rows, skip_prefix=problem.order)
+    _, problem, h, _, max_rows = _load_problem(args)
+    report = conditioning.check(assemble_system(problem, h, max_rows))
     print(f"rows checked: {report.rows.size} (m={report.rows[0]}..{report.rows[-1]})")
     print(f"delta (min margin): {_fmt(report.delta)}")
     print(f"satisfied: {report.satisfied}")
@@ -248,9 +243,7 @@ def _cmd_condition(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    cfg = _load_config(args.config)
-    problem = build_problem(cfg)
-    h, t_end, _ = _grid_params(cfg, args)
+    _, problem, h, t_end, _ = _load_problem(args)
     exact = parse(args.exact)
     if args.levels < 1:
         raise UsageError(f"--levels must be at least 1, got {args.levels}")
@@ -287,9 +280,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_assemble(args) -> int:
-    cfg = _load_config(args.config)
-    problem = build_problem(cfg)
-    h, _, max_rows = _grid_params(cfg, args)
+    _, problem, h, _, max_rows = _load_problem(args)
     if args.m is not None and not problem.order <= args.m <= max_rows:
         raise UsageError(f"row m={args.m} is not assembled (prefix or out of range)")
     rows = assemble_system(problem, h, max_rows) if args.m is None else [assemble_row(problem, h, args.m)]

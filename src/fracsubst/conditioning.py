@@ -42,18 +42,13 @@ class ConditioningReport:
     alt_b: float
 
 
-def check(rows: Sequence[AssembledRow], skip_prefix: int = 0) -> ConditioningReport:
-    """Evaluate the dominance condition over ``rows``.
-
-    ``skip_prefix`` excludes rows with m below the initial-condition prefix
-    length (those rows are fixed by the data, not by the scheme).
-    """
-    kept = [row for row in rows if row.m >= skip_prefix]
-    if not kept:
+def check(rows: Sequence[AssembledRow]) -> ConditioningReport:
+    """Evaluate the dominance condition over every row of ``rows``."""
+    if not rows:
         raise ValueError("no rows to check")
-    ms = np.array([row.m for row in kept])
-    diag = np.array([abs(row.d[row.m] + row.p_m) for row in kept])
-    offdiag = np.array([row.offdiag for row in kept])
+    ms = np.array([row.m for row in rows])
+    diag = np.array([abs(row.d[row.m] + row.p_m) for row in rows])
+    offdiag = np.array([row.offdiag for row in rows])
     margin = diag - offdiag
     scale = diag + offdiag
     with np.errstate(divide="ignore", invalid="ignore"):

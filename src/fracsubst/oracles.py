@@ -183,7 +183,7 @@ def _exponent_increment(terms) -> float:
     return num / denom
 
 
-def bessel_series(nu: float, n_terms: int = 1500, terms=BESSEL_TERMS) -> SeriesSolution:
+def bessel_series(nu: float, n_terms: int = 1500) -> SeriesSolution:
     """Series solution of the Bessel-type equation with potential x^2 - nu^2.
 
     The leading exponent gamma solves the indicial equation (zero-shift
@@ -196,11 +196,9 @@ def bessel_series(nu: float, n_terms: int = 1500, terms=BESSEL_TERMS) -> SeriesS
         raise ValueError("nu must be positive")
     if not 1 <= n_terms <= 20_000:
         raise ValueError("n_terms out of range")
-    s = _exponent_increment(terms)
-    diagonal = [(coef, order) for coef, power, order in terms if power == order]
-    if not diagonal:
-        raise ValueError("no zero-shift term: indicial equation is degenerate")
-    r = max(math.ceil(order) for _, _, order in terms)
+    s = _exponent_increment(BESSEL_TERMS)
+    diagonal = [(coef, order) for coef, power, order in BESSEL_TERMS if power == order]
+    r = max(math.ceil(order) for _, _, order in BESSEL_TERMS)
 
     def indicial(g: float) -> float:
         return math.fsum(coef * _gamma_ratio(g, order) for coef, order in diagonal) - nu * nu
@@ -218,7 +216,7 @@ def bessel_series(nu: float, n_terms: int = 1500, terms=BESSEL_TERMS) -> SeriesS
         mid = 0.5 * (lo + hi)
     gamma = mid
 
-    shifted = _shift_steps(terms, s)
+    shifted = _shift_steps(BESSEL_TERMS, s)
     potential_lag = round(2.0 / s)
     c = np.zeros(n_terms + 1)
     c[0] = 1.0
@@ -238,7 +236,7 @@ def bessel_series(nu: float, n_terms: int = 1500, terms=BESSEL_TERMS) -> SeriesS
         if c[j] != 0.0:
             hints.append((tol / abs(c[j])) ** (1.0 / (gamma + s * j)))
     radius = min(hints) if hints else math.inf
-    return SeriesSolution(gamma, s, c, radius, float(nu), tuple(terms))
+    return SeriesSolution(gamma, s, c, radius, float(nu), BESSEL_TERMS)
 
 
 def bessel_residual(solution: SeriesSolution, x: float) -> float:

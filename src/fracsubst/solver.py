@@ -126,7 +126,7 @@ def solve(problem: FDEProblem, h: float, max_rows: int) -> SolveResult:
     prefix = init_prefix(problem.initial_conditions, h, r)
     y, pivot_min = eliminate(rows, prefix)
     y.flags.writeable = False
-    report = conditioning.check(rows, skip_prefix=r)
+    report = conditioning.check(rows)
     degraded = tuple(row.m for row in rows if row.degraded)
     return SolveResult(Grid.uniform_grid(h, max_rows), y, report, pivot_min, degraded)
 
@@ -145,7 +145,8 @@ def calibrate(
     allows, else y(0)) is seeded with ``epsilon`` and the computed solution
     rescaled to pass through the reference point (t*, u*).  For a linear
     homogeneous equation the seed only scales the solution, so the result
-    is epsilon-independent.
+    is epsilon-independent; the anchor value at t* is refused only when it
+    is 0 or below 1e-12 of the perturbed solution's own max|y|.
     """
     t_star, u_star = reference
     if any(c != 0.0 for c in problem.initial_conditions):
@@ -158,11 +159,9 @@ def calibrate(
     ics[1 if r >= 2 else 0] = float(epsilon)
     perturbed = FDEProblem(problem.terms, problem.p, problem.f, tuple(ics))
     base = solve(perturbed, h, max_rows)
-    anchor = base.y[i_star]
-    if abs(anchor) < 1e-12:
-        raise ArithmeticError(
-            f"perturbed solve is {anchor!r} at the reference node; cannot calibrate"
-        )
+    anchor = float(base.y[i_star])
+    if not abs(anchor) > 1e-12 * np.max(np.abs(base.y)):
+        raise ArithmeticError(f"perturbed solve is {anchor!r} at the reference node; cannot calibrate")
     y = base.y * (u_star / anchor)
     y.flags.writeable = False
     return SolveResult(base.grid, y, base.report, base.pivot_min, base.degraded_rows)

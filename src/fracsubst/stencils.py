@@ -59,9 +59,13 @@ class Stencil:
         return self._weights_float
 
     def apply(self, samples: np.ndarray, at: int, h: float) -> float:
-        """Apply the stencil to ``samples`` around index ``at`` with step h."""
+        """Apply the stencil to ``samples`` around index ``at`` with step h;
+        every index at + offset must lie in 0..len(samples)-1."""
+        samples = np.asarray(samples, dtype=float)
         idx = np.asarray(self.offsets) + at
-        return float(self.weights_float() @ np.asarray(samples, dtype=float)[idx]) / (
+        if idx[0] < 0 or idx[-1] >= samples.size:
+            raise ValueError(f"stencil at {at} reads indices {idx[0]}..{idx[-1]}, outside 0..{samples.size - 1}")
+        return float(self.weights_float() @ samples[idx]) / (
             self.norm_denominator * h**self.deriv_order
         )
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -217,13 +218,15 @@ def test_operator_matches_plain_reference(alpha, h, data):
     size = data.draw(st.integers(m, 4 * 64), label="size")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     y = np.random.default_rng(seed).standard_normal(m + 1)
+    g = np.random.default_rng(seed + 1).standard_normal(size + 1)
     op = SubstitutionOperator(alpha, h, size)
     quad, row, degraded, value, scale = reference_rule(alpha, h, m, y)
-    assert np.max(np.abs(op.quadrature_row(m) - quad)) <= 1e-12 * np.sum(np.abs(quad))
-    d, deg = op.row(m)
-    assert np.max(np.abs(d - row)) <= 1e-12 * np.sum(np.abs(row))
+    assert abs(op.quadrature(g)[m - 1] - quad @ g[: m + 1]) <= 1e-12 * (np.abs(quad) @ np.abs(g[: m + 1]))
+    d = np.zeros((1, m + 1))
+    deg = op.rows(m, np.array([1.0]), d, add=True)[0]
+    assert np.max(np.abs(d[0] - row)) <= 1e-12 * np.sum(np.abs(row))
     assert deg == degraded
-    assert abs(op.apply(y, m) - value) <= 1e-12 * scale
+    assert abs(op.apply_rows(y, m, m + 1)[0] - value) <= 1e-12 * scale
     # rows n..m in one call: the first and the last are held to their references
     values = op.apply_rows(y, n, m + 1)
     assert abs(values[-1] - value) <= 1e-12 * scale
@@ -244,13 +247,48 @@ def test_apply_rows_crosses_steady_and_block_boundaries(alpha):
     for m, got in zip(range(n, size + 1), values):
         _, _, _, value, scale = reference_rule(alpha, 0.05, m, y)
         assert abs(got - value) <= 1e-12 * scale, m
-        assert op.apply(y, m) == op.apply_rows(y, m, m + 1)[0]
         bounds.append(1e-12 * scale)
     mid = n + BLOCK_ROWS // 2 + 1  # later blocks start at other rows
     assert np.all(np.abs(op.apply_rows(y, mid, size + 1) - values[mid - n :]) <= bounds[mid - n :])
     for b0, b1 in ((n - 1, n + 1), (n, n), (n, size + 2)):
         with pytest.raises(ValueError):
             op.apply_rows(y, b0, b1)
+    for samples in (y[:size], y[None, :]):  # one sample short, and not 1-D
+        with pytest.raises(ValueError, match=rf"need {size + 1} samples .* got shape {re.escape(str(samples.shape))}$"):
+            op.apply_rows(samples, n, size + 1)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.8, 1.5, 2.5, 1 - 1e-9])
+@pytest.mark.parametrize(
+    "dnf", [lambda x: 3 * x * x, lambda x: math.cos(7 * x), lambda x: 1.0], ids=["3x^2", "cos7x", "1"]
+)
+def test_quadrature_rows_match_the_pointwise_rule(alpha, dnf):
+    h, size = 2.0**-8, 256
+    op = SubstitutionOperator(alpha, h, size)
+    g = np.array([dnf(x) for x in np.arange(size + 1) * h])
+    values = op.quadrature(g)
+    assert values.shape == (size,)
+    gam = math.gamma(op.n + 1 - alpha)
+    for m in range(1, size + 1):
+        grid = Grid.uniform_grid(h, m)
+        terms = 0.5 * (g[:m] + g[1 : m + 1]) * substitution_weights(grid.nodes, op.n - alpha) / gam
+        assert abs(values[m - 1] - caputo_substitution(dnf, alpha, grid)) <= 1e-14 * np.sum(np.abs(terms)), m
+    for bad in (g[:-1], np.append(g, 0.0), g[None, :]):
+        with pytest.raises(ValueError, match=rf"need {size + 1} samples .* got shape {re.escape(str(bad.shape))}$"):
+            op.quadrature(bad)
+
+
+def test_quadrature_of_samples_near_the_largest_float():
+    # the pairs are halved before they are added, so 1.7e308 + 1.7e308 never forms
+    alpha, h, size = 0.3, 2.0**-16, 256
+    op = SubstitutionOperator(alpha, h, size)
+    values = op.quadrature(np.full(size + 1, 1.7e308))
+    exact = 1.7e308 * (np.arange(1, size + 1) * h) ** 0.7 / math.gamma(1.7)
+    assert np.all(np.abs(values - exact) <= 1e-13 * exact)
+    # h = 1e5: the sum overflows; h = 1: the sum 1.7e308 is finite, its division by Gamma(1.5) < 1 is not
+    for h, g in ((1e5, np.full(11, 1e308)), (1.0, np.full(2, 1.7e308))):
+        with pytest.raises(OverflowError, match=r"^D\^alpha of the n-th derivative is not finite in row 1$"):
+            SubstitutionOperator(0.5, h, g.size - 1).quadrature(g)
 
 
 def test_sampled_overflow_names_its_row():
@@ -271,12 +309,14 @@ def test_operator_row_accumulates_scaled_into_out():
     for size, m in ((8, 5), (64, 40)):  # a startup and a steady row
         op = SubstitutionOperator(1.5, 0.125, size)
         out = np.ones(size + 1)
-        d, degraded = op.row(m, scale=3.0, out=out)
-        assert np.shares_memory(d, out) and np.all(out[m + 1 :] == 1.0)
-        assert np.allclose(d, 1.0 + 3.0 * op.row(m)[0], rtol=1e-15, atol=0)
+        op.rows(m, np.array([3.0]), out[None, : m + 1], add=True)
+        assert np.all(out[m + 1 :] == 1.0)
+        plain = np.zeros((1, m + 1))
+        op.rows(m, np.array([1.0]), plain, add=True)
+        assert np.allclose(out[: m + 1], 1.0 + 3.0 * plain[0], rtol=1e-15, atol=0)
         for bad in (1, size + 1):
             with pytest.raises(ValueError):
-                op.row(bad)
+                op.rows(bad, np.ones(1), np.zeros((1, bad + 1)))
     with pytest.raises(ValueError):
         SubstitutionOperator(1.5, 0.0, 8)
 
@@ -291,9 +331,12 @@ def test_block_straddling_steady_equals_the_stacked_rows(alpha):
     flags = op.rows(b0, scale, written)
     assert np.array_equal(op.rows(b0, scale, added, add=True), flags)
     for i, m in enumerate(range(b0, b1)):
-        d, degraded = op.row(m, scale[i])
-        assert np.array_equal(written[i, : m + 1], d) and np.all(written[i, m + 1 :] == 0.0), m
-        assert np.array_equal(added[i, : m + 1], op.row(m, scale[i], out=base[i].copy())[0]), m
+        d = np.zeros((1, m + 1))
+        degraded = op.rows(m, scale[i : i + 1], d, add=True)[0]
+        assert np.array_equal(written[i, : m + 1], d[0]) and np.all(written[i, m + 1 :] == 0.0), m
+        one = base[i : i + 1, : m + 1].copy()
+        op.rows(m, scale[i : i + 1], one, add=True)
+        assert np.array_equal(added[i, : m + 1], one[0]), m
         assert np.array_equal(added[i, m + 1 :], base[i, m + 1 :]), m
         assert flags[i] == degraded, m
     assert flags[0] and not flags[-1]

@@ -159,7 +159,9 @@ def test_deriv_sampled_and_exact(tmp_path):
 
     out2 = tmp_path / "d2.csv"
     assert main(["deriv", "--alpha", "0.5", "--dnf", "3*x^2", "--h", "0.03125", "--t-end", "1", "--out", str(out2)]) == 0
-    last = out2.read_text().splitlines()[-1].split(",")
+    lines = out2.read_text().splitlines()
+    assert [float(line.split(",")[0]) for line in lines[1:]] == list(x[1:])
+    last = lines[-1].split(",")
     assert float(last[1]) == pytest.approx(trapezoid, rel=1e-12)
     assert abs(float(last[1]) - exact) <= lead
 

@@ -32,18 +32,9 @@ def test_diagonal_includes_p():
     assert not report.satisfied
 
 
-def test_prefix_rows_are_skipped():
-    rows = [row(1, [9.0, 0.5]), row(2, [0.1, 0.2, 2.0])]
-    report = conditioning.check(rows, skip_prefix=2)
-    assert list(report.rows) == [2]
-    assert report.satisfied
-
-
 def test_empty_check_rejected():
     with pytest.raises(ValueError):
         conditioning.check([])
-    with pytest.raises(ValueError):
-        conditioning.check([row(1, [0.0, 1.0])], skip_prefix=2)
 
 
 def test_bound_values():
@@ -82,7 +73,7 @@ def test_report_is_deterministic():
 def test_relaxation_system_report_regression():
     problem = FDEProblem((DerivativeTerm(1.5, parse("1")),), parse("1"), parse("1"), (0.0, 0.0))
     rows = assemble_system(problem, 0.05, 100)
-    report = conditioning.check(rows, skip_prefix=2)
+    report = conditioning.check(rows)
     assert not report.satisfied
     assert report.delta == pytest.approx(-678.1646989276577, rel=1e-9)
 

@@ -156,9 +156,12 @@ def test_calibration_scale_invariance():
     reference = (1.0, 0.1267686443728735)
     base = calibrate(problem, 1e-4, reference, h, rows)
     assert base.y[round(1.0 / h)] == pytest.approx(reference[1], rel=1e-12)
-    for eps in (1e-3, 1e-5, 1e-6):
+    for eps in (1e-3, 1e-5, 1e-6, 1e-20):
         other = calibrate(problem, eps, reference, h, rows)
         assert np.allclose(other.y, base.y, rtol=1e-8, atol=1e-14)
+    with pytest.raises(ArithmeticError, match=r"^perturbed solve is 0\.0 at the reference node") as info:
+        calibrate(problem, 0.0, reference, h, rows)
+    assert "np.float64" not in str(info.value)
 
 
 def test_calibration_zero_reference_gives_zero():

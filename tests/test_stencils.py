@@ -138,6 +138,14 @@ def test_exact_on_polynomials_up_to_degree_n_plus_1(kind, n, rng=np.random.defau
     assert got == pytest.approx(expected, rel=1e-10, abs=1e-10)
 
 
+def test_apply_refuses_indices_outside_the_samples():
+    y = np.arange(5.0) ** 2
+    assert central(2).apply(y, 2, 1.0) == 2.0
+    for at in (0, 4):  # y[-1] would wrap round to 16; y[5] does not exist
+        with pytest.raises(ValueError, match=r"outside 0\.\.4"):
+            central(2).apply(y, at, 1.0)
+
+
 @pytest.mark.parametrize("kind", [central, forward, backward, forward_first_order, backward_first_order])
 def test_float_weights_converted_once_and_read_only(kind):
     st = kind(3)
