@@ -3,7 +3,7 @@ fractional differential equations, with conditioning diagnostics and
 independent analytic oracles."""
 
 from . import conditioning
-from .assembly import AssembledRow, DerivativeTerm, FDEProblem, assemble_row, assemble_system, weight
+from .assembly import AssembledRow, DerivativeTerm, FDEProblem, assemble_row, assemble_system
 from .caputo import (
     FracOrder,
     Grid,
@@ -13,7 +13,7 @@ from .caputo import (
     riemann_liouville,
 )
 from .conditioning import ConditioningReport
-from .expr import DomainError, Expression, ParseError, UnknownIdentifierError, evaluate, parse
+from .expr import DomainError, Expression, ParseError, UnknownIdentifierError, parse
 from .oracles import (
     ConvergenceError,
     SeriesSolution,
@@ -70,7 +70,6 @@ __all__ = [
     "conditioning",
     "convergence_study",
     "eliminate",
-    "evaluate",
     "forward",
     "init_prefix",
     "mittag_leffler",
@@ -78,5 +77,4 @@ __all__ = [
     "relaxation_solution",
     "riemann_liouville",
     "solve",
-    "weight",
 ]

@@ -16,10 +16,9 @@ serve as test vectors only.  q_l, p and f are evaluated once each, on the
 array of row times when they are :class:`~.expr.Expression` trees and point
 by point otherwise; f is never evaluated at t = 0.
 
-Rows are built in blocks of the operator's ``BLOCK_ROWS`` (from
-:mod:`.caputo`) consecutive rows m = b0..b1-1, the first block starting at
-row r: each block is one C-contiguous (b1 - b0) x b1 array that the first
-term writes and later terms add into
+Rows are built in blocks of ``BLOCK_ROWS`` consecutive rows m = b0..b1-1,
+the first block starting at row r: each block is one C-contiguous
+(b1 - b0) x b1 array that the first term writes and later terms add into
 (:meth:`~.caputo.SubstitutionOperator.rows`), and row m's ``d`` is the
 read-only view ``block[i, :m+1]``.  The degraded flags come from the same
 calls; the off-diagonal 1-norms take one pass per block through a scratch
@@ -44,17 +43,16 @@ from typing import Callable
 
 import numpy as np
 
-from .caputo import BLOCK_ROWS, FracOrder, SubstitutionOperator
+from .caputo import FracOrder, SubstitutionOperator
 from .expr import Expression
 
-# the norms of a block's rows go through SCRATCH_ROWS rows at a time
-SCRATCH_ROWS = 8
+BLOCK_ROWS = 64  # rows are built this many at a time
+SCRATCH_ROWS = 8  # the norms of a block's rows go through this many rows at a time
 
 __all__ = [
     "DerivativeTerm",
     "FDEProblem",
     "AssembledRow",
-    "weight",
     "assemble_row",
     "assemble_system",
 ]
@@ -137,19 +135,6 @@ class AssembledRow:
         finite = math.isfinite(offdiag) or bool(np.all(np.isfinite(self.d[: self.m])))
         if not (finite and math.isfinite(self.d[self.m]) and math.isfinite(self.p_m) and math.isfinite(self.rhs)):
             raise ValueError(f"non-finite coefficients, p or f in row {self.m}")
-
-
-def weight(alpha: float, n: int, k: int, m: int, h: float) -> float:
-    """Trapezoid pair weight ((m-k+1)h)**(n-a) - ((m-k)h)**(n-a), n = ceil(a),
-    read from :attr:`SubstitutionOperator.weights`.
-
-    Strictly positive; the weights telescope to (mh)**(n-a) over k = 1..m.
-    """
-    if not 1 <= k <= m:
-        raise ValueError(f"pair index k={k} outside 1..{m}")
-    if n != math.ceil(alpha):
-        raise ValueError(f"n={n} is not ceil(alpha) for alpha={alpha}")
-    return float(SubstitutionOperator(alpha, h, m - k + 1).weights[m - k + 1])
 
 
 def _on_rows(fn: Callable[[float], float], ms: range, h: float) -> np.ndarray:

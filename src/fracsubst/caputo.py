@@ -8,9 +8,9 @@ from the Caputo integral, leaving
 which the trapezoidal rule turns into a finite sum with the telescoping
 weights (t - x_{k-1})**(n-a) - (t - x_k)**(n-a) > 0 on any grid.  On the
 uniform grid one :class:`SubstitutionOperator` per order gives the equation
-rows of :mod:`.assembly` and every D^a of samples: of f through its stencil
-rows (the sampled derivative, ``fracsubst deriv --expr``), of f^(n) as one
-convolution with its weights (``fracsubst deriv --dnf``).
+rows of :mod:`.assembly` and every D^a of samples as one convolution with its
+weights: of f^(n) (``fracsubst deriv --dnf``), and of f through its stencil
+values (the sampled derivative, ``fracsubst deriv --expr``).
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .stencils import central, node_weights
-
-BLOCK_ROWS = 64  # an operator's rows are built, and applied to samples, this many at a time
 
 __all__ = [
     "FracOrder",
@@ -151,11 +149,15 @@ class SubstitutionOperator:
     and are a slice of row ``size``; columns below a are a fixed block times
     the coefficients of nodes 0..J, J = a - 1 + ceil(n/2).
     :meth:`rows` builds any run of consecutive rows, scattering those below
-    ``steady`` node by node and the rest this way; :meth:`apply_rows`
-    multiplies them by samples of f.  :meth:`quadrature` takes samples of
-    f^(n) instead and needs no stencil: it convolves ``weights`` with their
-    trapezoid pairs.  Every stencil divides by h**n, so a step h with h**n =
-    0 or 1/h**n = inf is refused.
+    ``steady`` node by node and the rest this way.  :meth:`quadrature`
+    convolves ``weights`` with the trapezoid pairs of samples of f^(n).
+    :meth:`apply_rows` takes samples of f: below ``steady`` its rows are
+    :meth:`rows` times them; from ``steady`` on, stencils first, the same
+    convolution of the stencil values g (forward at the first ceil(n/2)
+    nodes, central at the others) plus, at each node m - r, r < ceil(n/2),
+    its trapezoid weight times its backward stencil minus g_{m-r}.  Every
+    stencil divides by h**n, so a step h with h**n = 0 or 1/h**n = inf is
+    refused.
     """
 
     def __init__(self, order: FracOrder | float, h: float, size: int):
@@ -263,36 +265,55 @@ class SubstitutionOperator:
 
     def apply_rows(self, y: Sequence[float], b0: int, b1: int) -> np.ndarray:
         """D^alpha y(x_m), m = b0..b1-1 (n <= b0 < b1 <= size + 1), from samples
-        y_0..y_{b1-1} (a 1-D array of at least b1): the rows of :meth:`rows`,
-        ``BLOCK_ROWS`` at a time, times the samples, with numpy's overflow
-        warnings off; the first row whose value is then not finite raises
-        ``OverflowError`` naming it."""
+        y_0..y_{b1-1} (a 1-D array of at least b1), summed as the class
+        describes with numpy's overflow warnings off; the first row whose
+        value is then not finite raises ``OverflowError`` naming it."""
+        if self.size < self.n:
+            raise ValueError(f"D^{self.alpha!r} of samples needs at least {self.n} steps, got {self.size}")
         if not self.n <= b0 < b1 <= self.size + 1:
             raise ValueError(f"rows {b0}..{b1 - 1} are not a non-empty run of rows {self.n}..{self.size}")
         y = np.asarray(y, dtype=float)
         if y.ndim != 1 or y.size < b1:
             raise ValueError(f"rows {b0}..{b1 - 1} need {b1} samples y_0..y_{b1 - 1}, got shape {y.shape}")
+        k = min(max(self.steady, b0), b1)  # rows b0..k-1 are scattered
+        n2, hn, steady = (self.n + 1) // 2, self.h**self.n, self.steady
         values = np.empty(b1 - b0)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, by its row
-            for c0 in range(b0, b1, BLOCK_ROWS):
-                c1 = min(c0 + BLOCK_ROWS, b1)
-                block = np.empty((c1 - c0, c1))
-                self.rows(c0, np.ones(c1 - c0), block)
-                np.matmul(block, y[:c1], out=values[c0 - b0 : c1 - b0])
+            if b0 < k:
+                block = np.empty((k - b0, k))
+                self.rows(b0, np.ones(k - b0), block)
+                np.matmul(block, y[:k], out=values[: k - b0])
+            if k < b1:
+                g = np.zeros(b1)  # zero where the central stencil would read past y_{b1-1}
+                for j in range(n2):
+                    offs, wts, bn, _ = node_weights(j, steady, self.n)
+                    g[j] = wts @ y[j + offs] / bn
+                for o, a in self._central:
+                    g[n2 : b1 - n2] += a * y[n2 + o : b1 - n2 + o]
+                g /= hn
+                q = self._trapezoid(g)[k - 1 :]  # rows k..b1-1
+                for r in range(n2):
+                    offs, wts, bn, _ = node_weights(steady - r, steady, self.n)
+                    back = sum(a * y[k - r + o : b1 - r + o] for o, a in zip(offs, wts)) / (bn * hn)
+                    q += self._pair[r] / (2.0 * self._gamma) * (back - g[k - r : b1 - r])
+                values[k - b0 :] = q
         return _finite_rows(values, b0, "the samples")
 
+    def _trapezoid(self, g: np.ndarray) -> np.ndarray:
+        """Rows 1..len(g)-1 of the trapezoid rule over node values g: the pairs
+        g_{k-1}/2 + g_k/2 (halved first, so that finite values near the largest
+        float add without overflow) convolved with weights[1:], over Gamma(n+1-alpha)."""
+        return np.convolve(self.weights[1 : g.size], 0.5 * g[:-1] + 0.5 * g[1:])[: g.size - 1] / self._gamma
+
     def quadrature(self, g: Sequence[float]) -> np.ndarray:
-        """D^alpha f(x_m), m = 1..size, from the samples g_0..g_size of f^(n):
-        the trapezoid pairs g_{k-1}/2 + g_k/2 (halved first, so that finite
-        samples near the largest float add without overflow) convolved with
-        ``weights[1:]``, over Gamma(n+1-alpha), with numpy's overflow warnings
-        off; the first row whose value is then not finite raises
-        ``OverflowError`` naming it."""
+        """D^alpha f(x_m), m = 1..size, from the samples g_0..g_size of f^(n) by
+        :meth:`_trapezoid`, with numpy's overflow warnings off; the first row
+        whose value is then not finite raises ``OverflowError`` naming it."""
         g = np.asarray(g, dtype=float)
         if g.shape != (self.size + 1,):
             raise ValueError(f"{self.size} rows need {self.size + 1} samples g_0..g_{self.size}, got shape {g.shape}")
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, by its row
-            values = np.convolve(self.weights[1:], 0.5 * g[:-1] + 0.5 * g[1:])[: self.size] / self._gamma
+            values = self._trapezoid(g)
         return _finite_rows(values, 1, "the n-th derivative")
 
 

@@ -44,7 +44,6 @@ __all__ = [
     "UnknownIdentifierError",
     "DomainError",
     "parse",
-    "evaluate",
 ]
 
 FUNCTIONS = {
@@ -373,8 +372,3 @@ def parse(text: str) -> Expression:
     if not text or not text.strip():
         raise ParseError("empty expression", 0)
     return _Parser(text).parse()
-
-
-def evaluate(e: Expression, v: float) -> float:
-    """Value of ``e`` at variable = ``v``.  Raises :class:`DomainError`."""
-    return e.eval(v)

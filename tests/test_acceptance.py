@@ -101,7 +101,7 @@ def test_criterion_3_closed_form_columns():
 
     alpha, h, m = 0.7, 0.2, 10
     row = fs.assemble_row(FDEProblem((DerivativeTerm(alpha, ONE),), ZERO, ZERO, (0.0,)), h, m)
-    phi = [math.nan] + [fs.weight(alpha, 1, k, m, h) for k in range(1, m + 1)]
+    phi = [math.nan, *fs.SubstitutionOperator(alpha, h, m).weights[m:0:-1]]  # phi[k] = weights[m - k + 1]
     norm = 4.0 * h * math.gamma(2.0 - alpha)
     expected = {
         0: -4 * phi[1] - phi[2],
@@ -116,7 +116,7 @@ def test_criterion_3_closed_form_columns():
 
     alpha, h, m = 1.3, 0.1, 12
     row = fs.assemble_row(FDEProblem((DerivativeTerm(alpha, ONE),), ZERO, ZERO, (0.0, 0.0)), h, m)
-    psi = [math.nan] + [fs.weight(alpha, 2, k, m, h) for k in range(1, m + 1)]
+    psi = [math.nan, *fs.SubstitutionOperator(alpha, h, m).weights[m:0:-1]]
     norm = 2.0 * h * h * math.gamma(3.0 - alpha)
     expected = {
         0: 3 * psi[1] + psi[2],

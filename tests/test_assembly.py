@@ -14,7 +14,6 @@ from fracsubst.assembly import (
     FDEProblem,
     assemble_row,
     assemble_system,
-    weight,
 )
 from fracsubst.expr import parse
 from fracsubst.oracles import caputo_power
@@ -29,36 +28,29 @@ def single_term_problem(alpha, q=ONE, p=ZERO, f=ZERO):
     return FDEProblem((DerivativeTerm(alpha, q),), p, f, (0.0,) * n)
 
 
-def pair_weights(alpha, n, m, h):
-    """w[k] = ((m-k+1)h)^(n-a) - ((m-k)h)^(n-a), 1-based in k."""
-    return [math.nan] + [weight(alpha, n, k, m, h) for k in range(1, m + 1)]
+def pair_weights(alpha, m, h):
+    """w[k] = ((m-k+1)h)^(n-a) - ((m-k)h)^(n-a), 1-based in k: the operator's weights[m-k+1]."""
+    return [math.nan, *caputo.SubstitutionOperator(alpha, h, m).weights[m:0:-1]]
 
 
 def test_weight_examples():
-    assert weight(0.5, 1, 1, 2, 0.5) == pytest.approx(1.0 - math.sqrt(0.5), rel=1e-12)
-    assert weight(0.5, 1, 1, 2, 0.5) == pytest.approx(0.2928932, abs=1e-7)
+    assert pair_weights(0.5, 2, 0.5)[1] == pytest.approx(1.0 - math.sqrt(0.5), rel=1e-12)
+    assert pair_weights(0.5, 2, 0.5)[1] == pytest.approx(0.2928932, abs=1e-7)
     # innermost pair
-    assert weight(0.7, 1, 5, 5, 0.1) == pytest.approx(0.1**0.3, rel=1e-12)
-    assert weight(1.5, 2, 8, 8, 0.25) == pytest.approx(0.25**0.5, rel=1e-12)
+    assert pair_weights(0.7, 5, 0.1)[5] == pytest.approx(0.1**0.3, rel=1e-12)
+    assert pair_weights(1.5, 8, 0.25)[8] == pytest.approx(0.25**0.5, rel=1e-12)
 
 
 def test_weights_telescope():
     m, h, alpha, n = 37, 0.05, 0.8, 1
-    total = math.fsum(weight(alpha, n, k, m, h) for k in range(1, m + 1))
+    total = math.fsum(pair_weights(alpha, m, h)[1:])
     assert total == pytest.approx((m * h) ** (n - alpha), rel=1e-12)
-
-
-def test_weight_bounds_checked():
-    with pytest.raises(ValueError):
-        weight(0.5, 1, 0, 5, 0.1)
-    with pytest.raises(ValueError):
-        weight(0.5, 1, 6, 5, 0.1)
 
 
 def test_first_order_columns_match_closed_forms():
     alpha, h, m = 0.7, 0.2, 10
     row = assemble_row(single_term_problem(alpha), h, m)
-    phi = pair_weights(alpha, 1, m, h)
+    phi = pair_weights(alpha, m, h)
     norm = 4.0 * h * math.gamma(2.0 - alpha)
     expected = {
         0: -4 * phi[1] - phi[2],
@@ -79,7 +71,7 @@ def test_first_order_columns_match_closed_forms():
 def test_second_order_columns_match_closed_forms():
     alpha, h, m = 1.3, 0.1, 12
     row = assemble_row(single_term_problem(alpha), h, m)
-    psi = pair_weights(alpha, 2, m, h)
+    psi = pair_weights(alpha, m, h)
     norm = 2.0 * h * h * math.gamma(3.0 - alpha)
     expected = {
         0: 3 * psi[1] + psi[2],
@@ -105,7 +97,7 @@ def test_short_row_uses_narrow_stencils():
     # the long-grid closed form for column 0 does not apply
     alpha, h = 0.5, 0.5
     row = assemble_row(single_term_problem(alpha), h, 2)
-    phi = pair_weights(alpha, 1, 2, h)
+    phi = pair_weights(alpha, 2, h)
     norm = 4.0 * h * math.gamma(1.5)
     assert row.d[0] == pytest.approx(-4 * phi[1] / norm, rel=1e-12)
     # phi_1 = 1 - sqrt(1/2) and norm = 4 h Gamma(3/2) = sqrt(pi), so
@@ -247,11 +239,12 @@ def test_a_given_norm_is_held_to_the_same_finiteness_rule():
 def test_weights_stay_accurate_as_alpha_approaches_n(n, h):
     alpha, m = n - 1e-9, 40
     s = n - alpha  # from the float alpha, not 1e-9
-    assert weight(alpha, n, m, m, h) == pytest.approx(h**s, rel=1e-14, abs=0)
+    w = pair_weights(alpha, m, h)
+    assert w[m] == pytest.approx(h**s, rel=1e-14, abs=0)
     for k in range(1, m):
         i = m - k + 1
         expected = math.exp(s * math.log((i - 1) * h)) * math.expm1(s * math.log(i / (i - 1)))
-        assert weight(alpha, n, k, m, h) == pytest.approx(expected, rel=1e-12, abs=0), k
+        assert w[k] == pytest.approx(expected, rel=1e-12, abs=0), k
 
 
 def test_memory_estimate_covers_the_blocks(monkeypatch):

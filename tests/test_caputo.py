@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fracsubst.assembly import BLOCK_ROWS
 from fracsubst.caputo import (
-    BLOCK_ROWS,
     FracOrder,
     Grid,
     SubstitutionOperator,
@@ -248,7 +248,7 @@ def test_apply_rows_crosses_steady_and_block_boundaries(alpha):
         _, _, _, value, scale = reference_rule(alpha, 0.05, m, y)
         assert abs(got - value) <= 1e-12 * scale, m
         bounds.append(1e-12 * scale)
-    mid = n + BLOCK_ROWS // 2 + 1  # later blocks start at other rows
+    mid = n + BLOCK_ROWS // 2 + 1  # a later first row
     assert np.all(np.abs(op.apply_rows(y, mid, size + 1) - values[mid - n :]) <= bounds[mid - n :])
     for b0, b1 in ((n - 1, n + 1), (n, n), (n, size + 2)):
         with pytest.raises(ValueError):
@@ -289,6 +289,16 @@ def test_quadrature_of_samples_near_the_largest_float():
     for h, g in ((1e5, np.full(11, 1e308)), (1.0, np.full(2, 1.7e308))):
         with pytest.raises(OverflowError, match=r"^D\^alpha of the n-th derivative is not finite in row 1$"):
             SubstitutionOperator(0.5, h, g.size - 1).quadrature(g)
+
+
+@pytest.mark.parametrize("alpha", [2.2, 2.5, 2.9, 2.99])
+def test_apply_rows_reproduces_a_cubic_above_order_two(alpha):
+    # the stencils are exact on t^3 sampled at h = 2^-14, so only the trapezoid sum rounds
+    m = 2**14
+    t = np.arange(m + 1) * 2.0**-14
+    exact = 6.0 * t[3:] ** (3 - alpha) / math.gamma(4 - alpha)
+    values = SubstitutionOperator(alpha, 2.0**-14, m).apply_rows(t**3, 3, m + 1)
+    assert np.max(np.abs(values - exact)) <= 1e-12 * np.max(np.abs(exact))
 
 
 def test_sampled_overflow_names_its_row():

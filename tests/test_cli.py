@@ -340,6 +340,22 @@ def test_deriv_sampled_omits_rows_too_short_for_the_stencils(tmp_path):
     assert rows[-1][1] == pytest.approx(caputo_power(1.5, 3, 1.0), rel=5e-3)
 
 
+def test_deriv_sampled_reproduces_a_cubic_above_order_two(tmp_path):
+    # the stencils are exact on t^3 sampled at h = 2^-10, so only the trapezoid sum rounds
+    out = tmp_path / "d.csv"
+    assert main(["deriv", "--alpha", "2.5", "--expr", "t^3", "--h", "0.0009765625", "--t-end", "1", "--out", str(out)]) == 0
+    rows = np.array([[float(v) for v in line.split(",")] for line in out.read_text().splitlines()[1:]])
+    exact = 6.0 * rows[:, 0] ** 0.5 / math.gamma(1.5)
+    assert rows.shape == (1022, 2) and np.all(np.abs(rows[:, 1] - exact) <= 1e-13 * exact)
+
+
+def test_deriv_sampled_on_a_grid_shorter_than_the_order_exits_one(tmp_path, capsys):
+    out = tmp_path / "d.csv"
+    assert main(["deriv", "--alpha", "2.5", "--expr", "t^3", "--h", "0.5", "--t-end", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: D^2.5 of samples needs at least 3 steps, got 2\n"
+    assert not out.exists()
+
+
 def test_system_too_large_for_memory_exits_two(capsys):
     fig1 = Path(__file__).resolve().parents[1] / "demos" / "fig1.cfg"
     assert main(["solve", "--config", str(fig1), "--h", "1e-6"]) == 2
