@@ -155,9 +155,10 @@ class SubstitutionOperator:
     :meth:`rows` times them; from ``steady`` on, stencils first, the same
     convolution of the stencil values g (forward at the first ceil(n/2)
     nodes, central at the others) plus, at each node m - r, r < ceil(n/2),
-    its trapezoid weight times its backward stencil minus g_{m-r}.  Every
-    stencil divides by h**n, so a step h with h**n = 0 or 1/h**n = inf is
-    refused.
+    its trapezoid weight times its backward stencil minus g_{m-r}.  The
+    stencils' float coefficients already carry their norm denominator B, so
+    every stencil divides by h**n only, and a step h with h**n = 0 or
+    1/h**n = inf is refused.
     """
 
     def __init__(self, order: FracOrder | float, h: float, size: int):
@@ -177,7 +178,7 @@ class SubstitutionOperator:
         self._pair = w[:-1] + w[1:]  # node j of row m has trapezoid weight pair[m-j] / 2, j >= 1
         self._gamma = math.gamma(self.n + 1 - self.alpha)
         st = central(self.n)
-        self._central = [(o, a / st.norm_denominator) for o, a in zip(st.offsets, st.weights_float()) if a]
+        self._central = [(o, a) for o, a in zip(st.offsets, st.coefficients()) if a]
         n2 = (self.n + 1) // 2
         self._a = n2 + self.n + 1
         self.steady = self._a + n2 + self.n
@@ -235,9 +236,9 @@ class SubstitutionOperator:
         n2, a = (self.n + 1) // 2, self._a
         block = np.zeros((a, a + n2))
         for j in range(a + n2):
-            offs, wts, bn, _ = node_weights(j, self.steady, self.n)
+            offs, wts, _ = node_weights(j, self.steady, self.n)
             keep = j + offs < a
-            block[j + offs[keep], j] += wts[keep] / bn
+            block[j + offs[keep], j] += wts[keep]
         block /= self.h**self.n
         block.flags.writeable = False
         self._block = block
@@ -257,10 +258,10 @@ class SubstitutionOperator:
                 d[lo + o : hi + o + 1] += pair * (a * (k / self.h**self.n))
         degraded = False
         for j in [*range(min(lo, m + 1)), *range(max(lo, hi + 1), m + 1)]:
-            offs, wts, bn, deg = node_weights(j, m, self.n)
+            offs, wts, deg = node_weights(j, m, self.n)
             degraded = degraded or deg
             c = self.weights[m] if j == 0 else self._pair[m - j]
-            d[j + offs] += wts * (k * c / (bn * self.h**self.n))
+            d[j + offs] += wts * (k * c / self.h**self.n)
         return degraded
 
     def apply_rows(self, y: Sequence[float], b0: int, b1: int) -> np.ndarray:
@@ -286,24 +287,29 @@ class SubstitutionOperator:
             if k < b1:
                 g = np.zeros(b1)  # zero where the central stencil would read past y_{b1-1}
                 for j in range(n2):
-                    offs, wts, bn, _ = node_weights(j, steady, self.n)
-                    g[j] = wts @ y[j + offs] / bn
+                    offs, wts, _ = node_weights(j, steady, self.n)
+                    g[j] = wts @ y[j + offs]
                 for o, a in self._central:
                     g[n2 : b1 - n2] += a * y[n2 + o : b1 - n2 + o]
                 g /= hn
-                q = self._trapezoid(g)[k - 1 :]  # rows k..b1-1
+                q = self._trapezoid(g, k)  # rows k..b1-1
                 for r in range(n2):
-                    offs, wts, bn, _ = node_weights(steady - r, steady, self.n)
-                    back = sum(a * y[k - r + o : b1 - r + o] for o, a in zip(offs, wts)) / (bn * hn)
+                    offs, wts, _ = node_weights(steady - r, steady, self.n)
+                    back = sum(a * y[k - r + o : b1 - r + o] for o, a in zip(offs, wts)) / hn
                     q += self._pair[r] / (2.0 * self._gamma) * (back - g[k - r : b1 - r])
                 values[k - b0 :] = q
         return _finite_rows(values, b0, "the samples")
 
-    def _trapezoid(self, g: np.ndarray) -> np.ndarray:
-        """Rows 1..len(g)-1 of the trapezoid rule over node values g: the pairs
-        g_{k-1}/2 + g_k/2 (halved first, so that finite values near the largest
-        float add without overflow) convolved with weights[1:], over Gamma(n+1-alpha)."""
-        return np.convolve(self.weights[1 : g.size], 0.5 * g[:-1] + 0.5 * g[1:])[: g.size - 1] / self._gamma
+    def _trapezoid(self, g: np.ndarray, first: int) -> np.ndarray:
+        """Rows first..len(g)-1 (first >= 1) of the trapezoid rule over node
+        values g: the pairs g_{k-1}/2 + g_k/2 (halved first, so that finite
+        values near the largest float add without overflow) convolved with
+        weights[1:], over Gamma(n+1-alpha).  Row k sums k products; the pairs,
+        left-padded with len(g)-1-first zeros, go through one "valid"
+        convolution, which computes those rows only, so one row costs O(len(g))."""
+        pairs = np.zeros(2 * g.size - 2 - first)
+        pairs[g.size - 1 - first :] = 0.5 * g[:-1] + 0.5 * g[1:]
+        return np.convolve(pairs, self.weights[1 : g.size], "valid") / self._gamma
 
     def quadrature(self, g: Sequence[float]) -> np.ndarray:
         """D^alpha f(x_m), m = 1..size, from the samples g_0..g_size of f^(n) by
@@ -313,7 +319,7 @@ class SubstitutionOperator:
         if g.shape != (self.size + 1,):
             raise ValueError(f"{self.size} rows need {self.size + 1} samples g_0..g_{self.size}, got shape {g.shape}")
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, by its row
-            values = self._trapezoid(g)
+            values = self._trapezoid(g, 1)
         return _finite_rows(values, 1, "the n-th derivative")
 
 
@@ -332,7 +338,8 @@ def caputo_substitution_sampled(
     grid: Grid | Sequence[float],
 ) -> float:
     """Caputo derivative at t = x_m from samples of f on a uniform grid: the
-    last row of :meth:`SubstitutionOperator.apply_rows` (needs m >= n)."""
+    last row of :meth:`SubstitutionOperator.apply_rows` (needs m >= n), which
+    computes that row alone, in O(m)."""
     grid = _as_grid(grid)
     if not grid.uniform:
         raise ValueError("sampled evaluation requires a uniform grid")

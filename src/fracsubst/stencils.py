@@ -1,17 +1,18 @@
-"""Second-order finite-difference weights for the n-th derivative.
+"""Finite-difference weights for the n-th derivative.
 
-The weights solve the moment conditions
+Every stencil is the unique solution of one moment system on a window of
+integer offsets lo..hi (Fornberg, Math. Comp. 51 (1988) 699-706): the
+moments sum(a_l * l^j) / j!, j = 0..hi-lo, all vanish except the n-th,
+which is B.  The second-order stencils take the windows
+-ceil(n/2)..ceil(n/2) (central), 0..n+1 (forward) and -n-1..0 (backward)
+with B = 1 for even n and 2 for odd n, which makes their weights integers;
+``sum(a_l * y[k+l]) / (B h^n)`` approximates the n-th derivative at node k
+with O(h^2) error.  The plain n-th difference is the window 0..n, B = 1.
+The square systems are solved in exact rational arithmetic (the float
+Vandermonde solve is badly conditioned already for moderate n).
 
-    sum(a_l)              = 0
-    sum(a_l * l^j) / j!   = 0        j = 1..n-1 and j = n+1
-    sum(a_l * l^n) / n!   = B_n      (B_n = 1 for even n, 2 for odd n)
-
-over integer node offsets l, so that ``sum(a_l * y[k+l]) / (B_n h^n)``
-approximates the n-th derivative at node k with O(h^2) error.  The systems
-are solved in exact rational arithmetic (the float Vandermonde solve is
-badly conditioned already for moderate n) and converted to floats only at
-the boundary.
-
+:class:`Stencil` keeps the exact weights and B; B is applied once, when its
+float coefficients a_l / B, which every float reader takes, are made.
 Weights are stored ascending by offset throughout.
 """
 
@@ -30,17 +31,15 @@ __all__ = [
     "forward",
     "backward",
     "forward_first_order",
-    "backward_first_order",
     "node_weights",
 ]
 
 
 @dataclass(frozen=True)
 class Stencil:
-    """Finite-difference weights for one derivative order.
-
-    The approximation at node k is ``sum(weights * y[k + offsets]) /
-    (norm_denominator * h**deriv_order)``.
+    """Exact finite-difference weights for one derivative order and their
+    norm denominator B; the approximation at node k is ``coefficients() @
+    y[k + offsets] / h**deriv_order``.
     """
 
     kind: str  # central | forward | backward
@@ -50,13 +49,13 @@ class Stencil:
     norm_denominator: int
 
     def __post_init__(self):
-        w = np.array([float(a) for a in self.weights])
-        w.flags.writeable = False
-        object.__setattr__(self, "_weights_float", w)
+        c = np.array([float(a / self.norm_denominator) for a in self.weights])
+        c.flags.writeable = False
+        object.__setattr__(self, "_coefficients", c)
 
-    def weights_float(self) -> np.ndarray:
-        """The weights as floats, converted once per stencil; read-only."""
-        return self._weights_float
+    def coefficients(self) -> np.ndarray:
+        """The weights over B as floats, converted once per stencil; read-only."""
+        return self._coefficients
 
     def apply(self, samples: np.ndarray, at: int, h: float) -> float:
         """Apply the stencil to ``samples`` around index ``at`` with step h;
@@ -65,9 +64,7 @@ class Stencil:
         idx = np.asarray(self.offsets) + at
         if idx[0] < 0 or idx[-1] >= samples.size:
             raise ValueError(f"stencil at {at} reads indices {idx[0]}..{idx[-1]}, outside 0..{samples.size - 1}")
-        return float(self.weights_float() @ samples[idx]) / (
-            self.norm_denominator * h**self.deriv_order
-        )
+        return float(self.coefficients() @ samples[idx]) / h**self.deriv_order
 
     def moment(self, j: int) -> Fraction:
         """Exact j-th offset moment sum(a_l * l^j) / j!."""
@@ -97,104 +94,61 @@ def _solve_rational(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[F
     return [aug[i][size] for i in range(size)]
 
 
-def _moment_solution(offsets: tuple[int, ...], n: int, nmoments: int) -> tuple[Fraction, ...]:
-    matrix = [[Fraction(o) ** j for o in offsets] for j in range(nmoments)]
-    rhs = [Fraction(0)] * nmoments
-    rhs[n] = Fraction(math.factorial(n) * _norm_denominator(n))
-    return tuple(_solve_rational(matrix, rhs))
-
-
-def _check_order(n: int) -> None:
+@cache
+def _window(kind: str, n: int, lo: int, hi: int, b: int) -> Stencil:
+    """The stencil over offsets lo..hi (n <= hi - lo) whose moments 0..hi-lo
+    are all zero except the n-th, which is b."""
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"derivative order must be a positive integer, got {n!r}")
+    offsets = tuple(range(lo, hi + 1))
+    matrix = [[Fraction(o) ** j for o in offsets] for j in range(len(offsets))]
+    rhs = [Fraction(0)] * len(offsets)
+    rhs[n] = Fraction(math.factorial(n) * b)
+    return Stencil(kind, n, offsets, tuple(_solve_rational(matrix, rhs)), b)
 
 
-@cache
 def central(n: int) -> Stencil:
-    """Central weights over offsets -n2..n2, n2 = ceil(n/2).
-
-    For odd n the moment system (orders 0..n+1) is square over the n+2
-    nodes.  For even n the symmetric n+1-node solution annihilates the
-    (n+1)-th moment automatically; this is asserted rather than adding
-    nodes.
-    """
-    _check_order(n)
+    """Central weights over offsets -n2..n2, n2 = ceil(n/2): n+2 of them for
+    odd n; for even n the n+1 symmetric ones also annihilate moment n+1."""
     n2 = (n + 1) // 2
-    offsets = tuple(range(-n2, n2 + 1))
-    if n % 2 == 0:
-        weights = _moment_solution(offsets, n, n + 1)
-        st = Stencil("central", n, offsets, weights, _norm_denominator(n))
-        assert st.moment(n + 1) == 0
-        return st
-    weights = _moment_solution(offsets, n, n + 2)
-    return Stencil("central", n, offsets, weights, _norm_denominator(n))
+    return _window("central", n, -n2, n2, _norm_denominator(n))
 
 
-@cache
 def forward(n: int) -> Stencil:
-    """One-sided weights over offsets 0..n+1 (n+2 moment conditions)."""
-    _check_order(n)
-    offsets = tuple(range(0, n + 2))
-    weights = _moment_solution(offsets, n, n + 2)
-    return Stencil("forward", n, offsets, weights, _norm_denominator(n))
+    """One-sided weights over offsets 0..n+1."""
+    return _window("forward", n, 0, n + 1, _norm_denominator(n))
 
 
-def _mirror(st: Stencil, kind: str) -> Stencil:
-    sign = 1 if st.deriv_order % 2 == 0 else -1
-    offsets = tuple(-o for o in reversed(st.offsets))
-    weights = tuple(sign * w for w in reversed(st.weights))
-    return Stencil(kind, st.deriv_order, offsets, weights, st.norm_denominator)
-
-
-@cache
 def backward(n: int) -> Stencil:
-    """Mirror of :func:`forward`: offsets negated, weights times (-1)^n."""
-    return _mirror(forward(n), "backward")
+    """One-sided weights over offsets -n-1..0, the mirror of :func:`forward`:
+    offsets negated, weights times (-1)^n."""
+    return _window("backward", n, -n - 1, 0, _norm_denominator(n))
 
 
-@cache
 def forward_first_order(n: int) -> Stencil:
-    """Plain n-th forward difference over offsets 0..n: O(h) accurate.
-
-    Used as the reduced-width fallback where the second-order stencils do
-    not fit inside the grid.
-    """
-    _check_order(n)
-    offsets = tuple(range(0, n + 1))
-    weights = tuple(Fraction((-1) ** (n - j) * math.comb(n, j)) for j in range(n + 1))
-    return Stencil("forward", n, offsets, weights, 1)
+    """Plain n-th forward difference over offsets 0..n, B = 1: O(h) accurate;
+    the same weights are the n-th difference on any n+1 consecutive nodes."""
+    return _window("forward", n, 0, n, 1)
 
 
-@cache
-def backward_first_order(n: int) -> Stencil:
-    return _mirror(forward_first_order(n), "backward")
-
-
-def node_weights(j: int, m: int, n: int) -> tuple[np.ndarray, np.ndarray, int, bool]:
+def node_weights(j: int, m: int, n: int) -> tuple[np.ndarray, np.ndarray, bool]:
     """Stencil for the n-th derivative at node j of a grid 0..m.
 
-    Standard assignment: forward for the first n2 nodes, backward for the
-    last n2, central in between.  Where the standard stencil would
-    reference nodes outside 0..m, fall back to the first-order one-sided
-    difference (n+1 nodes); if even that does not fit from node j, use the
-    n+1-node window anchored at 0 (valid O(h) proxy anywhere inside it).
+    Standard assignment: forward for the first n2 = ceil(n/2) nodes,
+    backward for the last n2, central in between.  Where the standard
+    stencil would reference nodes outside 0..m, fall back to the plain n-th
+    difference on the first of the windows j..j+n, j-n..j and 0..n that
+    fits (an O(h) proxy anywhere inside it).
 
-    Returns ``(offsets, weights, norm_denominator, degraded)`` with float
-    weights; ``degraded`` marks any reduced-order fallback.
+    Returns ``(offsets, coefficients, degraded)``: the derivative at node j
+    is ``coefficients @ y[j + offsets] / h**n``, the float weights already
+    divided by B; ``degraded`` marks the fallback.
     """
     n2 = (n + 1) // 2
-    if j < n2:
-        st = forward(n)
-    elif j > m - n2:
-        st = backward(n)
-    else:
-        st = central(n)
+    st = forward(n) if j < n2 else backward(n) if j > m - n2 else central(n)
     if j + st.offsets[0] >= 0 and j + st.offsets[-1] <= m:
-        return np.asarray(st.offsets), st.weights_float(), st.norm_denominator, False
-    for st in (forward_first_order(n), backward_first_order(n)):
-        if j + st.offsets[0] >= 0 and j + st.offsets[-1] <= m:
-            return np.asarray(st.offsets), st.weights_float(), st.norm_denominator, True
-    if m >= n:
-        st = forward_first_order(n)
-        return np.asarray(st.offsets) - j, st.weights_float(), st.norm_denominator, True
-    raise ValueError(f"grid with {m + 1} nodes is too short for any order-{n} stencil")
+        return np.asarray(st.offsets), st.coefficients(), False
+    if m < n:
+        raise ValueError(f"grid with {m + 1} nodes is too short for any order-{n} stencil")
+    lo = next(lo for lo in (j, j - n, 0) if 0 <= lo <= m - n)
+    return np.arange(lo - j, lo - j + n + 1), forward_first_order(n).coefficients(), True

@@ -191,12 +191,12 @@ def reference_rule(alpha, h, m, y):
     degraded = False
     for j in range(m + 1):
         quad[j] = ((pair[m - j + 1] if j > 0 else 0.0) + pair[m - j]) / (2.0 * gam)
-        offs, wts, bn, deg = node_weights(j, m, n)
+        offs, wts, deg = node_weights(j, m, n)
         degraded = degraded or deg
         for o, a in zip(offs, wts):
-            row[j + o] += a * quad[j] / (bn * h**n)
-        deriv[j] = sum(a * y[j + o] for o, a in zip(offs, wts)) / (bn * h**n)
-        size[j] = sum(abs(a * y[j + o]) for o, a in zip(offs, wts)) / (bn * h**n)
+            row[j + o] += a * quad[j] / h**n
+        deriv[j] = sum(a * y[j + o] for o, a in zip(offs, wts)) / h**n
+        size[j] = sum(abs(a * y[j + o]) for o, a in zip(offs, wts)) / h**n
     value = math.fsum(0.5 * (deriv[k - 1] + deriv[k]) * pair[m - k + 1] / gam for k in range(1, m + 1))
     scale = math.fsum(0.5 * (size[k - 1] + size[k]) * pair[m - k + 1] / gam for k in range(1, m + 1))
     return quad, row, degraded, value, scale
@@ -299,6 +299,23 @@ def test_apply_rows_reproduces_a_cubic_above_order_two(alpha):
     exact = 6.0 * t[3:] ** (3 - alpha) / math.gamma(4 - alpha)
     values = SubstitutionOperator(alpha, 2.0**-14, m).apply_rows(t**3, 3, m + 1)
     assert np.max(np.abs(values - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
+def test_one_row_of_samples_convolves_one_output(monkeypatch):
+    # a lone row costs O(M): the trapezoid convolution computes no other row
+    outputs = []
+    convolve = np.convolve
+
+    def counted(*args, **kwargs):
+        out = convolve(*args, **kwargs)
+        outputs.append(out.size)
+        return out
+
+    monkeypatch.setattr(np, "convolve", counted)
+    m = 2**10
+    y = (np.arange(m + 1) / m) ** 3
+    SubstitutionOperator(0.8, 1.0 / m, m).apply_rows(y, m, m + 1)
+    assert outputs == [1]
 
 
 def test_sampled_overflow_names_its_row():

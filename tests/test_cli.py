@@ -1,3 +1,4 @@
+import hashlib
 import math
 from pathlib import Path
 
@@ -108,6 +109,10 @@ def test_stencil_csv(tmp_path):
     assert lines[0] == "kind,n,b,offset,weight"
     # three kinds, orders 1..8
     assert sum(1 for line in lines[1:] if line.startswith("central,")) > 8
+    # every exact weight, the one-sided ones of orders 6..8 included
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "fb1aebad73afada63862ebb78d9245cf999f0ff9573c7cafa85c22f8cde85b3c"
+    )
 
 
 def test_condition_report_and_exit_codes(relax_cfg, capsys, tmp_path):

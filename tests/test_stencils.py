@@ -6,7 +6,6 @@ import pytest
 
 from fracsubst.stencils import (
     backward,
-    backward_first_order,
     central,
     forward,
     forward_first_order,
@@ -146,12 +145,12 @@ def test_apply_refuses_indices_outside_the_samples():
             central(2).apply(y, at, 1.0)
 
 
-@pytest.mark.parametrize("kind", [central, forward, backward, forward_first_order, backward_first_order])
+@pytest.mark.parametrize("kind", [central, forward, backward, forward_first_order])
 def test_float_weights_converted_once_and_read_only(kind):
     st = kind(3)
-    w = st.weights_float()
-    assert w is st.weights_float() and not w.flags.writeable
-    assert w.tolist() == [float(a) for a in st.weights]
+    w = st.coefficients()
+    assert w is st.coefficients() and not w.flags.writeable
+    assert w.tolist() == [float(a / st.norm_denominator) for a in st.weights]
 
 
 def test_first_order_fallbacks():
@@ -159,33 +158,57 @@ def test_first_order_fallbacks():
     assert st.offsets == (0, 1)
     assert st.weights == frac([-1, 1])
     assert st.norm_denominator == 1
-    st = backward_first_order(2)
-    assert st.offsets == (-2, -1, 0)
+    st = forward_first_order(2)
+    assert st.offsets == (0, 1, 2)
     assert st.weights == frac([1, -2, 1])
 
 
 def test_node_assignment_standard():
-    offs, _, _, deg = node_weights(0, 10, 1)
+    offs, _, deg = node_weights(0, 10, 1)
     assert not deg and offs[0] == 0  # forward at the left edge
-    offs, _, _, deg = node_weights(10, 10, 1)
+    offs, _, deg = node_weights(10, 10, 1)
     assert not deg and offs[-1] == 0  # backward at the right edge
-    offs, _, _, deg = node_weights(5, 10, 2)
+    offs, _, deg = node_weights(5, 10, 2)
     assert not deg and tuple(offs) == (-1, 0, 1)
     # order 3 needs two one-sided nodes on each end
-    offs, _, _, deg = node_weights(1, 10, 3)
+    offs, _, deg = node_weights(1, 10, 3)
     assert not deg and offs[0] == 0
 
 
 def test_node_assignment_fallbacks():
-    offs, wts, bn, deg = node_weights(0, 1, 1)
-    assert deg and tuple(offs) == (0, 1) and tuple(wts) == (-1.0, 1.0) and bn == 1
-    offs, wts, bn, deg = node_weights(1, 1, 1)
+    offs, wts, deg = node_weights(0, 1, 1)
+    assert deg and tuple(offs) == (0, 1) and tuple(wts) == (-1.0, 1.0)
+    offs, wts, deg = node_weights(1, 1, 1)
     assert deg and tuple(offs) == (-1, 0) and tuple(wts) == (-1.0, 1.0)
     # window anchored at 0 when neither one-sided difference fits at j
-    offs, _, _, deg = node_weights(1, 3, 3)
+    offs, _, deg = node_weights(1, 3, 3)
     assert deg and tuple(offs) == (-1, 0, 1, 2)
     with pytest.raises(ValueError):
         node_weights(0, 1, 2)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_node_weights_windows_and_moments(n):
+    """Every node j of every row m < 40: the window lies inside 0..m; the
+    moments sum(c_l l^k) are n! [k = n] exactly for k <= n, and for k = n+1
+    too unless the node is degraded (the coefficients are integers over B, so
+    their Fractions are exact); a row has a degraded node exactly when
+    m < n + ceil(n/2); and the grid is refused exactly when m < n."""
+    for m in range(40):
+        if m < n:
+            for j in range(m + 1):
+                with pytest.raises(ValueError, match=rf"grid with {m + 1} nodes is too short for any order-{n} stencil"):
+                    node_weights(j, m, n)
+            continue
+        degraded = False
+        for j in range(m + 1):
+            offs, coef, deg = node_weights(j, m, n)
+            assert 0 <= j + offs[0] and j + offs[-1] <= m
+            exact = [Fraction(c) for c in coef]
+            for k in range(n + 1 if deg else n + 2):
+                assert sum(c * Fraction(int(o)) ** k for c, o in zip(exact, offs)) == (math.factorial(n) if k == n else 0)
+            degraded = degraded or deg
+        assert degraded == (m < n + (n + 1) // 2), m
 
 
 def test_rejects_bad_order():
