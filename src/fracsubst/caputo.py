@@ -139,25 +139,26 @@ class SubstitutionOperator:
     0``) is the weight of the trapezoid pair at distance i from the
     evaluation point, computed once as (i h)**s * -expm1(s log1p(-1/i)) so
     that nothing cancels as alpha -> n.  The n-th derivatives under the sum
-    are second-order stencils: central at interior nodes (shared as vector
-    slices), :func:`node_weights` at the at most 2 ceil(n/2) edge nodes.
+    are the :func:`node_weights` stencils of the grid 0..m: central at
+    interior nodes (shared as vector slices), the n+2 edge nodes at the at
+    most 2 ceil(n/2) others, the plain n-th difference at all in row n.
 
     From row ``steady`` = 2 ceil(n/2) + 2n + 1 on, the left-edge stencils
     with the central taps that reach below column ``a`` = ceil(n/2) + n + 1,
-    and the right-edge stencils, touch disjoint columns and no fallback
-    stencil is left.  Columns k >= a of such a row then depend on m - k only
-    and are a slice of row ``size``; columns below a are a fixed block times
-    the coefficients of nodes 0..J, J = a - 1 + ceil(n/2).
-    :meth:`rows` builds any run of consecutive rows, scattering those below
-    ``steady`` node by node and the rest this way.  :meth:`quadrature`
-    convolves ``weights`` with the trapezoid pairs of samples of f^(n).
-    :meth:`apply_rows` takes samples of f: below ``steady`` its rows are
-    :meth:`rows` times them; from ``steady`` on, stencils first, the same
-    convolution of the stencil values g (forward at the first ceil(n/2)
-    nodes, central at the others) plus, at each node m - r, r < ceil(n/2),
-    its trapezoid weight times its backward stencil minus g_{m-r}.  The
-    stencils' float coefficients already carry their norm denominator B, so
-    every stencil divides by h**n only, and a step h with h**n = 0 or
+    and the right-edge stencils, touch disjoint columns.  Columns k >= a of
+    such a row then depend on m - k only and are a slice of row ``size``;
+    columns below a are a fixed block times the coefficients of nodes 0..J,
+    J = a - 1 + ceil(n/2).  :meth:`rows` builds any run of consecutive rows,
+    scattering those below ``steady`` node by node and the rest this way.
+    :meth:`quadrature` convolves ``weights`` with the trapezoid pairs of
+    samples of f^(n).  :meth:`apply_rows` takes samples of f, stencils
+    first: as every edge stencil is the same from row n + 1 on, those rows
+    are the same convolution of the stencil values g (left-edge at the first
+    ceil(n/2) nodes, central at the others) plus, at each node m - r, r <
+    ceil(n/2), its trapezoid weight times its right-edge stencil minus
+    g_{m-r}; row n is the convolution of its one plain difference.
+    The stencils' float coefficients already carry their norm denominator
+    B, so every stencil divides by h**n only, and a step h with h**n = 0 or
     1/h**n = inf is refused.
     """
 
@@ -266,9 +267,10 @@ class SubstitutionOperator:
 
     def apply_rows(self, y: Sequence[float], b0: int, b1: int) -> np.ndarray:
         """D^alpha y(x_m), m = b0..b1-1 (n <= b0 < b1 <= size + 1), from samples
-        y_0..y_{b1-1} (a 1-D array of at least b1), summed as the class
-        describes with numpy's overflow warnings off; the first row whose
-        value is then not finite raises ``OverflowError`` naming it."""
+        y_0..y_{b1-1} (a 1-D array of at least b1): the stencil values and
+        one convolution as the class describes, no matrix row, with numpy's
+        overflow warnings off; the first row whose value is then not finite
+        raises ``OverflowError`` naming it."""
         if self.size < self.n:
             raise ValueError(f"D^{self.alpha!r} of samples needs at least {self.n} steps, got {self.size}")
         if not self.n <= b0 < b1 <= self.size + 1:
@@ -276,25 +278,24 @@ class SubstitutionOperator:
         y = np.asarray(y, dtype=float)
         if y.ndim != 1 or y.size < b1:
             raise ValueError(f"rows {b0}..{b1 - 1} need {b1} samples y_0..y_{b1 - 1}, got shape {y.shape}")
-        k = min(max(self.steady, b0), b1)  # rows b0..k-1 are scattered
-        n2, hn, steady = (self.n + 1) // 2, self.h**self.n, self.steady
+        n, n2, hn = self.n, (self.n + 1) // 2, self.h**self.n
+        k = max(b0, n + 1)  # rows k..b1-1 by the convolution of the stencil values
         values = np.empty(b1 - b0)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, by its row
-            if b0 < k:
-                block = np.empty((k - b0, k))
-                self.rows(b0, np.ones(k - b0), block)
-                np.matmul(block, y[:k], out=values[: k - b0])
+            if b0 == n:  # every node of row n takes the plain difference on 0..n
+                offs, wts, _ = node_weights(0, n, n)
+                values[0] = self._trapezoid(np.full(n + 1, wts @ y[offs] / hn), n)[0]
             if k < b1:
                 g = np.zeros(b1)  # zero where the central stencil would read past y_{b1-1}
                 for j in range(n2):
-                    offs, wts, _ = node_weights(j, steady, self.n)
+                    offs, wts, _ = node_weights(j, k, n)
                     g[j] = wts @ y[j + offs]
                 for o, a in self._central:
                     g[n2 : b1 - n2] += a * y[n2 + o : b1 - n2 + o]
                 g /= hn
                 q = self._trapezoid(g, k)  # rows k..b1-1
                 for r in range(n2):
-                    offs, wts, _ = node_weights(steady - r, steady, self.n)
+                    offs, wts, _ = node_weights(k - r, k, n)
                     back = sum(a * y[k - r + o : b1 - r + o] for o, a in zip(offs, wts)) / hn
                     q += self._pair[r] / (2.0 * self._gamma) * (back - g[k - r : b1 - r])
                 values[k - b0 :] = q
@@ -338,8 +339,8 @@ def caputo_substitution_sampled(
     grid: Grid | Sequence[float],
 ) -> float:
     """Caputo derivative at t = x_m from samples of f on a uniform grid: the
-    last row of :meth:`SubstitutionOperator.apply_rows` (needs m >= n), which
-    computes that row alone, in O(m)."""
+    last row of :meth:`SubstitutionOperator.apply_rows` (needs m >= n), with
+    the stencils of the grid 0..m, computed alone, in O(m)."""
     grid = _as_grid(grid)
     if not grid.uniform:
         raise ValueError("sampled evaluation requires a uniform grid")

@@ -17,10 +17,11 @@ their shortest round-trip form (``repr``), so ``float()`` of a field gives
 back the computed double exactly; integer columns (row and column indices)
 are written as integers.  Identical inputs produce byte-identical files.
 ``deriv`` rows come from one substitution operator's trapezoid convolution:
-over the stencil values of samples of f for ``--expr`` (no row m < n =
-ceil(alpha), and an error on fewer than n steps), over samples of f^(n) for
-``--dnf``; a non-finite ``deriv`` value (finite samples whose sum overflows)
-exits 2.
+over the stencil values of samples of f for ``--expr``, each row m with the
+stencils of a grid ending at x_m (no row m < n = ceil(alpha), the plain n-th
+difference in row n, and an error on fewer than n steps), over samples of
+f^(n) for ``--dnf``; a non-finite ``deriv`` value (finite samples whose sum
+overflows) exits 2.
 Exit codes are decided in :func:`main` by exception class: 0 success; 1 and
 one ``error:`` line for a ``ValueError`` (usage, config or argument error) or
 an ``OSError`` (unreadable config, unwritable output); 2 and one ``numerical

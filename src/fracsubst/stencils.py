@@ -3,13 +3,13 @@
 Every stencil is the unique solution of one moment system on a window of
 integer offsets lo..hi (Fornberg, Math. Comp. 51 (1988) 699-706): the
 moments sum(a_l * l^j) / j!, j = 0..hi-lo, all vanish except the n-th,
-which is B.  The second-order stencils take the windows
--ceil(n/2)..ceil(n/2) (central), 0..n+1 (forward) and -n-1..0 (backward)
-with B = 1 for even n and 2 for odd n, which makes their weights integers;
-``sum(a_l * y[k+l]) / (B h^n)`` approximates the n-th derivative at node k
-with O(h^2) error.  The plain n-th difference is the window 0..n, B = 1.
-The square systems are solved in exact rational arithmetic (the float
-Vandermonde solve is badly conditioned already for moderate n).
+which is B.  The second-order stencils take n+2 offsets (n+1 for the
+symmetric central ones of even n) with B = 1 for even n and 2 for odd n,
+which makes their weights integers; ``sum(a_l * y[k+l]) / (B h^n)``
+approximates the n-th derivative at node k with O(h^2) error.  The plain
+n-th difference is any n+1 offsets with B = 1.  The square systems are
+solved in exact rational arithmetic (the float Vandermonde solve is badly
+conditioned already for moderate n).
 
 :class:`Stencil` keeps the exact weights and B; B is applied once, when its
 float coefficients a_l / B, which every float reader takes, are made.
@@ -30,7 +30,6 @@ __all__ = [
     "central",
     "forward",
     "backward",
-    "forward_first_order",
     "node_weights",
 ]
 
@@ -42,7 +41,6 @@ class Stencil:
     y[k + offsets] / h**deriv_order``.
     """
 
-    kind: str  # central | forward | backward
     deriv_order: int
     offsets: tuple[int, ...]
     weights: tuple[Fraction, ...]
@@ -95,7 +93,7 @@ def _solve_rational(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[F
 
 
 @cache
-def _window(kind: str, n: int, lo: int, hi: int, b: int) -> Stencil:
+def _window(n: int, lo: int, hi: int, b: int) -> Stencil:
     """The stencil over offsets lo..hi (n <= hi - lo) whose moments 0..hi-lo
     are all zero except the n-th, which is b."""
     if not isinstance(n, int) or n < 1:
@@ -104,51 +102,50 @@ def _window(kind: str, n: int, lo: int, hi: int, b: int) -> Stencil:
     matrix = [[Fraction(o) ** j for o in offsets] for j in range(len(offsets))]
     rhs = [Fraction(0)] * len(offsets)
     rhs[n] = Fraction(math.factorial(n) * b)
-    return Stencil(kind, n, offsets, tuple(_solve_rational(matrix, rhs)), b)
+    return Stencil(n, offsets, tuple(_solve_rational(matrix, rhs)), b)
 
 
 def central(n: int) -> Stencil:
     """Central weights over offsets -n2..n2, n2 = ceil(n/2): n+2 of them for
     odd n; for even n the n+1 symmetric ones also annihilate moment n+1."""
     n2 = (n + 1) // 2
-    return _window("central", n, -n2, n2, _norm_denominator(n))
+    return _window(n, -n2, n2, _norm_denominator(n))
 
 
 def forward(n: int) -> Stencil:
     """One-sided weights over offsets 0..n+1."""
-    return _window("forward", n, 0, n + 1, _norm_denominator(n))
+    return _window(n, 0, n + 1, _norm_denominator(n))
 
 
 def backward(n: int) -> Stencil:
     """One-sided weights over offsets -n-1..0, the mirror of :func:`forward`:
     offsets negated, weights times (-1)^n."""
-    return _window("backward", n, -n - 1, 0, _norm_denominator(n))
-
-
-def forward_first_order(n: int) -> Stencil:
-    """Plain n-th forward difference over offsets 0..n, B = 1: O(h) accurate;
-    the same weights are the n-th difference on any n+1 consecutive nodes."""
-    return _window("forward", n, 0, n, 1)
+    return _window(n, -n - 1, 0, _norm_denominator(n))
 
 
 def node_weights(j: int, m: int, n: int) -> tuple[np.ndarray, np.ndarray, bool]:
     """Stencil for the n-th derivative at node j of a grid 0..m.
 
-    Standard assignment: forward for the first n2 = ceil(n/2) nodes,
-    backward for the last n2, central in between.  Where the standard
-    stencil would reference nodes outside 0..m, fall back to the plain n-th
-    difference on the first of the windows j..j+n, j-n..j and 0..n that
-    fits (an O(h) proxy anywhere inside it).
+    Node j takes :func:`central` where it fits in 0..m, n2 = ceil(n/2) <= j
+    <= m - n2.  Any other node takes the window of n+2 nodes lo..lo+n+1
+    nearest to centred on it, lo = min(max(j - n2, 0), m - n - 1): the
+    first n+2 nodes at the left edge, the last n+2 at the right edge, so
+    node m - k reads offsets -(n+1-k)..k.  On a grid of m = n steps no such
+    window fits, and the node takes the plain n-th difference on 0..n, an
+    O(h) proxy anywhere inside it.
 
     Returns ``(offsets, coefficients, degraded)``: the derivative at node j
     is ``coefficients @ y[j + offsets] / h**n``, the float weights already
-    divided by B; ``degraded`` marks the fallback.
+    divided by B; ``degraded`` marks the plain difference (for even n the
+    central stencil of row m = n is one too).
     """
     n2 = (n + 1) // 2
-    st = forward(n) if j < n2 else backward(n) if j > m - n2 else central(n)
-    if j + st.offsets[0] >= 0 and j + st.offsets[-1] <= m:
-        return np.asarray(st.offsets), st.coefficients(), False
-    if m < n:
+    if n2 <= j <= m - n2:
+        st = central(n)
+    elif m < n:
         raise ValueError(f"grid with {m + 1} nodes is too short for any order-{n} stencil")
-    lo = next(lo for lo in (j, j - n, 0) if 0 <= lo <= m - n)
-    return np.arange(lo - j, lo - j + n + 1), forward_first_order(n).coefficients(), True
+    else:
+        width = n + 1 if m == n else n + 2
+        lo = min(max(j - n2, 0), m + 1 - width) - j
+        st = _window(n, lo, lo + width - 1, 1 if m == n else _norm_denominator(n))
+    return np.asarray(st.offsets), st.coefficients(), m == n

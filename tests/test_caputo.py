@@ -1,9 +1,10 @@
+import hashlib
 import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fracsubst.assembly import BLOCK_ROWS
 from fracsubst.caputo import (
@@ -202,12 +203,12 @@ def reference_rule(alpha, h, m, y):
     return quad, row, degraded, value, scale
 
 
-fractional = st.floats(0.0, 3.0, exclude_min=True, exclude_max=True).filter(lambda a: a != int(a))
+fractional = st.floats(0.0, 5.0, exclude_min=True, exclude_max=True).filter(lambda a: a != int(a))
 
 
 @settings(deadline=None)
 @given(
-    alpha=st.one_of(fractional, st.sampled_from([1 - 1e-9, 2 - 1e-9, 3 - 1e-9])),
+    alpha=st.one_of(fractional, st.sampled_from([1 - 1e-9, 2 - 1e-9, 3 - 1e-9, 4 - 1e-9, 5 - 1e-9])),
     h=st.floats(2.0**-10, 1.0),
     data=st.data(),
 )
@@ -232,6 +233,41 @@ def test_operator_matches_plain_reference(alpha, h, data):
     assert abs(values[-1] - value) <= 1e-12 * scale
     _, _, _, value, scale = reference_rule(alpha, h, n, y)
     assert abs(values[0] - value) <= 1e-12 * scale
+
+
+@settings(deadline=None)
+@given(alpha=fractional)
+@example(alpha=2.05)
+@example(alpha=4.05)
+@example(alpha=3 - 1e-9)
+@example(alpha=5 - 1e-9)
+def test_inverse_steady_kernel_grows_like_a_fractional_integral(alpha):
+    # row `size` at h = 1, read from the diagonal leftwards, is the steady kernel c of the
+    # lower-triangular Toeplitz system; its inverse kernel g must grow no faster than the
+    # discrete fractional integral's j^(alpha-1), never geometrically (an unstable edge closure)
+    size, reach = 800, 400
+    row = np.zeros((1, size + 1))
+    SubstitutionOperator(alpha, 1.0, size).rows(size, np.ones(1), row)
+    c = row[0, ::-1][: reach + 1]
+    g = np.zeros(reach + 1)
+    g[0] = 1.0 / c[0]
+    for j in range(1, reach + 1):
+        g[j] = -(c[1 : j + 1] @ g[j - 1 :: -1]) / c[0]
+    j = np.arange(1, reach + 1)
+    assert np.all(np.abs(g[1:]) <= 8.0 * abs(g[0]) * j ** (alpha - 1.0))
+
+
+def test_rows_below_order_three_are_pinned():
+    # every row and degraded flag of the n <= 2 operators, in 64-row blocks, bit for bit
+    digest = hashlib.sha256()
+    for alpha in (0.3, 0.5, 0.8, 1 - 1e-9, 1.1, 1.5, 1.9, 2 - 1e-9):
+        op = SubstitutionOperator(alpha, 2.0**-6, 300)
+        for b0 in range(op.n, 301, 64):
+            b1 = min(b0 + 64, 301)
+            out = np.empty((b1 - b0, b1))
+            flags = op.rows(b0, np.ones(b1 - b0), out)
+            digest.update(out.tobytes() + flags.tobytes())
+    assert digest.hexdigest() == "e3485e403fd11474240154398b0fe964f303e6a315b7769c1c8d0af23368b0f1"
 
 
 @pytest.mark.parametrize("alpha", [0.6, 1.5, 2.4])
@@ -291,13 +327,15 @@ def test_quadrature_of_samples_near_the_largest_float():
             SubstitutionOperator(0.5, h, g.size - 1).quadrature(g)
 
 
-@pytest.mark.parametrize("alpha", [2.2, 2.5, 2.9, 2.99])
+@pytest.mark.parametrize("alpha", [2.2, 2.5, 2.9, 2.99, 3.5, 3.99, 4.5, 4.99])
 def test_apply_rows_reproduces_a_cubic_above_order_two(alpha):
-    # the stencils are exact on t^3 sampled at h = 2^-14, so only the trapezoid sum rounds
-    m = 2**14
-    t = np.arange(m + 1) * 2.0**-14
-    exact = 6.0 * t[3:] ** (3 - alpha) / math.gamma(4 - alpha)
-    values = SubstitutionOperator(alpha, 2.0**-14, m).apply_rows(t**3, 3, m + 1)
+    # t^n sampled at h = 2^-14, 2^-11, 2^-8 for n = 3, 4, 5 is exact, and so are the stencil
+    # sums on it, so only the trapezoid sum rounds
+    n = math.ceil(alpha)
+    m = {3: 2**14, 4: 2**11, 5: 2**8}[n]
+    t = np.arange(m + 1) / m
+    exact = math.factorial(n) * t[n:] ** (n - alpha) / math.gamma(n + 1 - alpha)
+    values = SubstitutionOperator(alpha, 1.0 / m, m).apply_rows(t**n, n, m + 1)
     assert np.max(np.abs(values - exact)) <= 1e-12 * np.max(np.abs(exact))
 
 

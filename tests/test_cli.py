@@ -242,12 +242,24 @@ def test_non_finite_data_exits_two(tmp_path, capsys):
 
 def test_overflowing_solution_exits_two_without_a_csv(tmp_path, capsys):
     cfg = tmp_path / "unstable.cfg"
-    cfg.write_text('term = 2.2, "1"\nf = "1"\nic = 0, 0, 0\nh = 0.00244140625\nt_end = 5\n')
+    # D^0.5 y - 20 y = 1 with zero data grows like exp(400 t)
+    cfg.write_text('term = 0.5, "1"\np = "-20"\nf = "1"\nic = 0\nh = 0.00244140625\nt_end = 5\n')
     out = tmp_path / "y.csv"
     assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure: ") and "row 1422" in err and err.count("\n") == 1
+    assert err.startswith("numerical failure: ") and "row 560" in err and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_solve_above_order_two_stays_bounded(tmp_path, capsys):
+    # D^2.5 y + y = 1 with zero data: y(1) = 0.286; only row 3 (m = n) is degraded
+    cfg = tmp_path / "order25.cfg"
+    cfg.write_text('term = 2.5, "1"\np = "1"\nf = "1"\nic = 0, 0, 0\nh = 0.00048828125\nt_end = 1\n')
+    out = tmp_path / "y.csv"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err.endswith("; 1 degraded rows\n")
+    y = np.array([float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]])
+    assert y.size == 2049 and np.max(np.abs(y)) < 1.0
 
 
 @pytest.mark.parametrize(
@@ -325,10 +337,11 @@ def test_deriv_evaluates_the_expression_on_the_whole_grid(capsys):
 
 
 @pytest.mark.parametrize(
-    "source, h, t_end, row", [(["--expr", "1.7e308*x"], "0.25", "1", 2), (["--dnf", "1e308"], "100000", "1000000", 1)]
+    "source, h, t_end, row", [(["--expr", "1.7e308*x"], "0.25", "1", 3), (["--dnf", "1e308"], "100000", "1000000", 1)]
 )
 def test_deriv_overflow_exits_two_with_one_line(source, h, t_end, row, tmp_path, capsys):
-    # finite samples whose sum overflows: no warning, no CSV
+    # finite samples whose sum overflows: no warning, no CSV; the stencils difference the
+    # samples before they are weighted, and 1.5 y_3 in node 3's backward stencil overflows first
     out = tmp_path / "d.csv"
     assert main(["deriv", "--alpha", "0.5", *source, "--h", h, "--t-end", t_end, "--out", str(out)]) == 2
     err = capsys.readouterr().err

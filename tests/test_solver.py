@@ -5,7 +5,7 @@ import pytest
 
 from fracsubst.assembly import DerivativeTerm, FDEProblem, assemble_system
 from fracsubst.expr import DomainError, parse
-from fracsubst.oracles import caputo_power, relaxation_solution
+from fracsubst.oracles import caputo_power, mittag_leffler, relaxation_solution
 from fracsubst.solver import (
     NonFiniteSolutionError,
     SingularPivotError,
@@ -123,6 +123,19 @@ def test_relaxation_solve_tracks_oracle():
     assert result.degraded_rows == (2,)
 
 
+@pytest.mark.parametrize("alpha", [2.5, 3.5])
+def test_relaxation_above_order_two_converges(alpha):
+    # D^a y + y = 1 with zero data, y = t^a E_{a,a+1}(-t^a): the edge stencils keep the
+    # scheme stable, so the error falls with h instead of growing geometrically with M
+    problem = FDEProblem((DerivativeTerm(alpha, ONE),), ONE, ONE, (0.0,) * math.ceil(alpha))
+    errors = []
+    for m in (256, 2048):
+        result = solve(problem, 1.0 / m, m)
+        exact = np.array([t**alpha * mittag_leffler(alpha, alpha + 1.0, -(t**alpha)) for t in result.grid.nodes])
+        errors.append(float(np.max(np.abs(result.y - exact))))
+    assert errors[1] < 0.01 and errors[1] < errors[0], errors
+
+
 def test_convergence_study_zero_against_self():
     problem = FDEProblem((DerivativeTerm(0.5, ONE),), ONE, ONE, (0.0,))
     h = 0.125
@@ -187,11 +200,11 @@ def test_singular_pivot_detected():
 
 
 def test_overflowing_elimination_names_the_first_non_finite_row():
-    # D^2.2 y = 1 with zero data is exponentially unstable: y overflows at t = 3.47
-    problem = FDEProblem((DerivativeTerm(2.2, ONE),), ZERO, ONE, (0.0, 0.0, 0.0))
-    with pytest.raises(NonFiniteSolutionError, match=r"not finite from row 1422 ") as info:
+    # D^0.5 y - 20 y = 1 with zero data grows like exp(400 t): y overflows at t = 1.37
+    problem = FDEProblem((DerivativeTerm(0.5, ONE),), parse("-20"), ONE, (0.0,))
+    with pytest.raises(NonFiniteSolutionError, match=r"not finite from row 560 ") as info:
         solve(problem, 5.0 / 2048, 2048)
-    assert info.value.row == 1422 and isinstance(info.value, ArithmeticError)
+    assert info.value.row == 560 and isinstance(info.value, ArithmeticError)
 
 
 def test_overflowing_assembled_row_is_an_overflow_error_naming_the_row():

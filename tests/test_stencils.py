@@ -8,7 +8,6 @@ from fracsubst.stencils import (
     backward,
     central,
     forward,
-    forward_first_order,
     node_weights,
 )
 
@@ -145,22 +144,12 @@ def test_apply_refuses_indices_outside_the_samples():
             central(2).apply(y, at, 1.0)
 
 
-@pytest.mark.parametrize("kind", [central, forward, backward, forward_first_order])
+@pytest.mark.parametrize("kind", [central, forward, backward])
 def test_float_weights_converted_once_and_read_only(kind):
     st = kind(3)
     w = st.coefficients()
     assert w is st.coefficients() and not w.flags.writeable
     assert w.tolist() == [float(a / st.norm_denominator) for a in st.weights]
-
-
-def test_first_order_fallbacks():
-    st = forward_first_order(1)
-    assert st.offsets == (0, 1)
-    assert st.weights == frac([-1, 1])
-    assert st.norm_denominator == 1
-    st = forward_first_order(2)
-    assert st.offsets == (0, 1, 2)
-    assert st.weights == frac([1, -2, 1])
 
 
 def test_node_assignment_standard():
@@ -170,9 +159,11 @@ def test_node_assignment_standard():
     assert not deg and offs[-1] == 0  # backward at the right edge
     offs, _, deg = node_weights(5, 10, 2)
     assert not deg and tuple(offs) == (-1, 0, 1)
-    # order 3 needs two one-sided nodes on each end
+    # order 3 needs two off-centre nodes on each end, each reading the n+2 edge nodes
     offs, _, deg = node_weights(1, 10, 3)
-    assert not deg and offs[0] == 0
+    assert not deg and tuple(offs) == (-1, 0, 1, 2, 3)
+    offs, _, deg = node_weights(9, 10, 3)
+    assert not deg and tuple(offs) == (-3, -2, -1, 0, 1)
 
 
 def test_node_assignment_fallbacks():
@@ -180,7 +171,7 @@ def test_node_assignment_fallbacks():
     assert deg and tuple(offs) == (0, 1) and tuple(wts) == (-1.0, 1.0)
     offs, wts, deg = node_weights(1, 1, 1)
     assert deg and tuple(offs) == (-1, 0) and tuple(wts) == (-1.0, 1.0)
-    # window anchored at 0 when neither one-sided difference fits at j
+    # on a grid of n steps every off-centre node takes the plain difference on 0..n
     offs, _, deg = node_weights(1, 3, 3)
     assert deg and tuple(offs) == (-1, 0, 1, 2)
     with pytest.raises(ValueError):
@@ -193,7 +184,7 @@ def test_node_weights_windows_and_moments(n):
     moments sum(c_l l^k) are n! [k = n] exactly for k <= n, and for k = n+1
     too unless the node is degraded (the coefficients are integers over B, so
     their Fractions are exact); a row has a degraded node exactly when
-    m < n + ceil(n/2); and the grid is refused exactly when m < n."""
+    m == n; and the grid is refused exactly when m < n."""
     for m in range(40):
         if m < n:
             for j in range(m + 1):
@@ -208,7 +199,7 @@ def test_node_weights_windows_and_moments(n):
             for k in range(n + 1 if deg else n + 2):
                 assert sum(c * Fraction(int(o)) ** k for c, o in zip(exact, offs)) == (math.factorial(n) if k == n else 0)
             degraded = degraded or deg
-        assert degraded == (m < n + (n + 1) // 2), m
+        assert degraded == (m == n), m
 
 
 def test_rejects_bad_order():
