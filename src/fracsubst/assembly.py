@@ -10,17 +10,16 @@ system is
 
 The d_k are sum_l q_l(x_m) times row m of the term's
 :class:`~.caputo.SubstitutionOperator` (stencil weight x trapezoid pair
-weight); the closed-form per-column coefficient lists that exist for
-first- and second-order stencils are reproduced by this construction and
-serve as test vectors only.  q_l, p and f are evaluated once each, on the
-array of row times when they are :class:`~.expr.Expression` trees and point
-by point otherwise; f is never evaluated at t = 0.
+weight).  q_l, p and f are evaluated once each, on the array of row times
+when they are :class:`~.expr.Expression` trees and point by point
+otherwise; f is never evaluated at t = 0.
 
 Rows are built in blocks of ``BLOCK_ROWS`` consecutive rows m = b0..b1-1,
-the first block starting at row r: each block is one C-contiguous
-(b1 - b0) x b1 array that the first term writes and later terms add into
-(:meth:`~.caputo.SubstitutionOperator.rows`), and row m's ``d`` is the
-read-only view ``block[i, :m+1]``.  The degraded flags come from the same
+the first block starting at row r: each term returns its rows as one
+C-contiguous (b1 - b0) x b1 array (:meth:`~.caputo.SubstitutionOperator.rows`),
+the first term's array becomes the system block, each later term's is added
+into it in term order, and row m's ``d`` is the read-only view
+``block[i, :m+1]``.  The degraded flags come from the same
 calls; the off-diagonal 1-norms take one pass per block through a scratch
 of ``SCRATCH_ROWS`` rows, reused for the whole system.  A block is built
 with numpy's overflow and invalid-value warnings off: the first row whose
@@ -107,8 +106,8 @@ class FDEProblem:
 class AssembledRow:
     """Finite coefficients of one grid row: d_0..d_m, diagonal addend p_m, rhs f_m.
 
-    ``degraded`` marks rows assembled with reduced-order fallback stencils
-    (possible only for the first few rows of each derivative order).
+    ``degraded`` marks row m = n of a term, where every node takes the
+    plain n-th difference.
     ``offdiag`` is the off-diagonal 1-norm sum_{k<m} |d_k|, for the pivot
     test of the solver and the dominance check, computed here when not
     given.  One finiteness rule holds either way: a finite norm means
@@ -168,11 +167,12 @@ def _assemble(problem: FDEProblem, h: float, ms: range) -> list[AssembledRow]:
     for b0 in range(ms.start, ms.stop, BLOCK_ROWS):
         b1 = min(b0 + BLOCK_ROWS, ms.stop)
         at = slice(b0 - ms.start, b1 - ms.start)
-        block = np.empty((b1 - b0, b1))
-        degraded = np.zeros(b1 - b0, dtype=bool)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, by its row
-            for term, (q, op) in enumerate(zip(qs, ops)):
-                degraded |= op.rows(b0, q[at], block, add=term > 0)
+            block, degraded = ops[0].rows(b0, qs[0][at])
+            for q, op in zip(qs[1:], ops[1:]):
+                more, deg = op.rows(b0, q[at])
+                block += more
+                degraded |= deg
             offdiag = _offdiag(block, b0, scratch)
         bad = np.flatnonzero(~(np.isfinite(offdiag) & np.isfinite(np.diagonal(block, b0))))
         if bad.size:

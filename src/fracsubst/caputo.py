@@ -148,8 +148,9 @@ class SubstitutionOperator:
     and the right-edge stencils, touch disjoint columns.  Columns k >= a of
     such a row then depend on m - k only and are a slice of row ``size``;
     columns below a are a fixed block times the coefficients of nodes 0..J,
-    J = a - 1 + ceil(n/2).  :meth:`rows` builds any run of consecutive rows,
-    scattering those below ``steady`` node by node and the rest this way.
+    J = a - 1 + ceil(n/2).  :meth:`rows` returns any run of consecutive rows
+    as one new block, scattering those below ``steady`` node by node and the
+    rest this way.
     :meth:`quadrature` convolves ``weights`` with the trapezoid pairs of
     samples of f^(n).  :meth:`apply_rows` takes samples of f, stencils
     first: as every edge stencil is the same from row n + 1 on, those rows
@@ -186,14 +187,13 @@ class SubstitutionOperator:
         self._tail: np.ndarray | None = None  # row `size` at scale 1 and zeros, built by the first steady row
         self._block: np.ndarray | None = None
 
-    def rows(self, b0: int, scale: np.ndarray, out: np.ndarray, add: bool = False) -> np.ndarray:
+    def rows(self, b0: int, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``scale[i]`` times row m = b0 + i, for the rows b0..b1-1 (b1 = b0 +
-        len(scale), b0 >= n), into the rows of ``out``, shape (b1 - b0, b1);
-        columns right of the diagonal get zeros.  Written, or added when
-        ``add``.  Returns each row's degraded flag.
+        len(scale), b0 >= n), as a new C-contiguous (b1 - b0, b1) block with
+        zeros right of the diagonal, and each row's degraded flag.
 
         Rows below ``steady`` are scattered node by node into their row of
-        ``out``.  In the others column k >= a of row m is tail[size - m + k],
+        the block.  In the others column k >= a of row m is tail[size - m + k],
         tail being row ``size`` zero-padded to twice its length, so those
         columns of all the rows are one Toeplitz view of it (negative row
         stride) times the scales.  Their columns below a are the block times
@@ -203,16 +203,16 @@ class SubstitutionOperator:
         is degraded."""
         rows = scale.size
         b1 = b0 + rows
-        if not (self.n <= b0 and b1 <= self.size + 1 and out.shape == (rows, b1)):
-            raise ValueError(f"rows {b0}..{b1 - 1} are not rows {self.n}..{self.size} in a ({rows}, {b1}) block")
+        if not (self.n <= b0 and b1 <= self.size + 1):
+            raise ValueError(f"rows {b0}..{b1 - 1} are not rows {self.n}..{self.size}")
         k = min(max(self.steady - b0, 0), rows)  # rows b0..b0+k-1 are scattered
-        if not add:
-            out[:k] = 0.0
+        out = np.empty((rows, b1))
+        out[:k] = 0.0
         degraded = np.zeros(rows, dtype=bool)
         for i in range(k):
             degraded[i] = self._scatter(b0 + i, scale[i], out[i])
         if k == rows:
-            return degraded
+            return out, degraded
         if self._tail is None:
             self._build_steady()
         s0, a, size, jn = b0 + k, self._a, self.size, self._block.shape[1]
@@ -222,13 +222,9 @@ class SubstitutionOperator:
         coef[:, 1:] = sliding_window_view(self._pair, jn - 1)[s0 - jn + 1 : b1 - jn + 1, ::-1]
         left = np.matmul(self._block, coef[:, :, None])[:, :, 0]
         left *= (scale[k:] / (2.0 * self._gamma))[:, None]
-        if add:
-            out[k:, :a] += left
-            out[k:, a:] += toeplitz * scale[k:, None]
-        else:
-            out[k:, :a] = left
-            np.multiply(toeplitz, scale[k:, None], out=out[k:, a:])
-        return degraded
+        out[k:, :a] = left
+        np.multiply(toeplitz, scale[k:, None], out=out[k:, a:])
+        return out, degraded
 
     def _build_steady(self) -> None:
         """Row ``size`` by the scatter, zero-padded to twice its length, and the
@@ -250,7 +246,7 @@ class SubstitutionOperator:
 
     def _scatter(self, m: int, scale: float, d: np.ndarray) -> bool:
         """Add ``scale`` times row m into ``d[:m+1]`` node by node; returns
-        whether a fallback stencil was used."""
+        whether a node took the plain n-th difference."""
         lo, hi = (self.n + 1) // 2, m - (self.n + 1) // 2
         k = scale / (2.0 * self._gamma)
         if lo <= hi:

@@ -55,15 +55,6 @@ class Stencil:
         """The weights over B as floats, converted once per stencil; read-only."""
         return self._coefficients
 
-    def apply(self, samples: np.ndarray, at: int, h: float) -> float:
-        """Apply the stencil to ``samples`` around index ``at`` with step h;
-        every index at + offset must lie in 0..len(samples)-1."""
-        samples = np.asarray(samples, dtype=float)
-        idx = np.asarray(self.offsets) + at
-        if idx[0] < 0 or idx[-1] >= samples.size:
-            raise ValueError(f"stencil at {at} reads indices {idx[0]}..{idx[-1]}, outside 0..{samples.size - 1}")
-        return float(self.coefficients() @ samples[idx]) / h**self.deriv_order
-
     def moment(self, j: int) -> Fraction:
         """Exact j-th offset moment sum(a_l * l^j) / j!."""
         return sum(

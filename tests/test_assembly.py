@@ -322,3 +322,25 @@ def test_cancelling_terms_are_held_to_the_rounding_of_each_term():
     terms = (DerivativeTerm(0.25, parse("2 + sin(3*x)")), DerivativeTerm(0.25, parse("cos(x) - 2")))
     problem = FDEProblem(terms, parse("1 + x"), parse("1 + x"), (0.0,))
     assert_rows_match_the_reference(problem, 0.08726367523072202, 67)
+
+
+def test_bessel_rows_are_the_term_blocks_summed_in_term_order():
+    # fig5's three terms: each system block is the first term's rows() block plus each
+    # later term's, added in term order, bit for bit
+    terms = (
+        DerivativeTerm(1.5, parse("1.5*x^1.5")),
+        DerivativeTerm(1.1, parse("-1.2*x^1.9")),
+        DerivativeTerm(0.5, parse("3*x")),
+    )
+    problem = FDEProblem(terms, parse("x^2 - 4"), ZERO, (0.0, 0.0))
+    h, m_max = 2.0**-6, 200  # startup and steady rows over four blocks
+    rows = assemble_system(problem, h, m_max)
+    qs = [term.coefficient(np.arange(2, m_max + 1) * h) for term in problem.terms]
+    ops = [caputo.SubstitutionOperator(term.alpha, h, m_max) for term in problem.terms]
+    for b0 in range(2, m_max + 1, assembly.BLOCK_ROWS):
+        at = slice(b0 - 2, min(b0 + assembly.BLOCK_ROWS, m_max + 1) - 2)
+        first, *later = [op.rows(b0, q[at])[0] for op, q in zip(ops, qs)]
+        for block in later:
+            first = first + block
+        for i, row in enumerate(rows[at]):
+            assert np.array_equal(row.d, first[i, : row.m + 1]), row.m

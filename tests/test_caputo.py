@@ -223,9 +223,8 @@ def test_operator_matches_plain_reference(alpha, h, data):
     op = SubstitutionOperator(alpha, h, size)
     quad, row, degraded, value, scale = reference_rule(alpha, h, m, y)
     assert abs(op.quadrature(g)[m - 1] - quad @ g[: m + 1]) <= 1e-12 * (np.abs(quad) @ np.abs(g[: m + 1]))
-    d = np.zeros((1, m + 1))
-    deg = op.rows(m, np.array([1.0]), d, add=True)[0]
-    assert np.max(np.abs(d[0] - row)) <= 1e-12 * np.sum(np.abs(row))
+    (d,), (deg,) = op.rows(m, np.array([1.0]))
+    assert np.max(np.abs(d - row)) <= 1e-12 * np.sum(np.abs(row))
     assert deg == degraded
     assert abs(op.apply_rows(y, m, m + 1)[0] - value) <= 1e-12 * scale
     # rows n..m in one call: the first and the last are held to their references
@@ -246,8 +245,7 @@ def test_inverse_steady_kernel_grows_like_a_fractional_integral(alpha):
     # lower-triangular Toeplitz system; its inverse kernel g must grow no faster than the
     # discrete fractional integral's j^(alpha-1), never geometrically (an unstable edge closure)
     size, reach = 800, 400
-    row = np.zeros((1, size + 1))
-    SubstitutionOperator(alpha, 1.0, size).rows(size, np.ones(1), row)
+    row, _ = SubstitutionOperator(alpha, 1.0, size).rows(size, np.ones(1))
     c = row[0, ::-1][: reach + 1]
     g = np.zeros(reach + 1)
     g[0] = 1.0 / c[0]
@@ -264,8 +262,7 @@ def test_rows_below_order_three_are_pinned():
         op = SubstitutionOperator(alpha, 2.0**-6, 300)
         for b0 in range(op.n, 301, 64):
             b1 = min(b0 + 64, 301)
-            out = np.empty((b1 - b0, b1))
-            flags = op.rows(b0, np.ones(b1 - b0), out)
+            out, flags = op.rows(b0, np.ones(b1 - b0))
             digest.update(out.tobytes() + flags.tobytes())
     assert digest.hexdigest() == "e3485e403fd11474240154398b0fe964f303e6a315b7769c1c8d0af23368b0f1"
 
@@ -370,18 +367,16 @@ def test_weights_of_far_pairs_match_the_operator():
     assert np.max(np.abs(w - op.weights[1:]) / op.weights[1:]) <= 1e-15
 
 
-def test_operator_row_accumulates_scaled_into_out():
+def test_operator_rows_are_scaled():
     for size, m in ((8, 5), (64, 40)):  # a startup and a steady row
         op = SubstitutionOperator(1.5, 0.125, size)
-        out = np.ones(size + 1)
-        op.rows(m, np.array([3.0]), out[None, : m + 1], add=True)
-        assert np.all(out[m + 1 :] == 1.0)
-        plain = np.zeros((1, m + 1))
-        op.rows(m, np.array([1.0]), plain, add=True)
-        assert np.allclose(out[: m + 1], 1.0 + 3.0 * plain[0], rtol=1e-15, atol=0)
+        scaled, _ = op.rows(m, np.array([3.0]))
+        plain, _ = op.rows(m, np.array([1.0]))
+        assert scaled.shape == plain.shape == (1, m + 1)
+        assert np.allclose(scaled, 3.0 * plain, rtol=1e-15, atol=0)
         for bad in (1, size + 1):
             with pytest.raises(ValueError):
-                op.rows(bad, np.ones(1), np.zeros((1, bad + 1)))
+                op.rows(bad, np.ones(1))
     with pytest.raises(ValueError):
         SubstitutionOperator(1.5, 0.0, 8)
 
@@ -391,20 +386,13 @@ def test_block_straddling_steady_equals_the_stacked_rows(alpha):
     op = SubstitutionOperator(alpha, 0.05, 40)
     b0, b1 = op.n, op.steady + 5  # degraded, scattered and Toeplitz rows in one block
     scale = np.random.default_rng(7).uniform(-2.0, 2.0, b1 - b0)
-    base = np.random.default_rng(8).standard_normal((b1 - b0, b1))
-    written, added = np.full_like(base, np.nan), base.copy()
-    flags = op.rows(b0, scale, written)
-    assert np.array_equal(op.rows(b0, scale, added, add=True), flags)
+    written, flags = op.rows(b0, scale)
+    assert written.shape == (b1 - b0, b1) and written.flags.c_contiguous
     for i, m in enumerate(range(b0, b1)):
-        d = np.zeros((1, m + 1))
-        degraded = op.rows(m, scale[i : i + 1], d, add=True)[0]
-        assert np.array_equal(written[i, : m + 1], d[0]) and np.all(written[i, m + 1 :] == 0.0), m
-        one = base[i : i + 1, : m + 1].copy()
-        op.rows(m, scale[i : i + 1], one, add=True)
-        assert np.array_equal(added[i, : m + 1], one[0]), m
-        assert np.array_equal(added[i, m + 1 :], base[i, m + 1 :]), m
+        (d,), (degraded,) = op.rows(m, scale[i : i + 1])
+        assert np.array_equal(written[i, : m + 1], d) and np.all(written[i, m + 1 :] == 0.0), m
         assert flags[i] == degraded, m
     assert flags[0] and not flags[-1]
-    for bad_b0, shape in ((op.n - 1, (b1 - b0, b1 - 1)), (b0, (b1 - b0, b1 + 1)), (op.size, (2, op.size + 2))):
+    for bad_b0, rows in ((op.n - 1, b1 - b0), (op.size, 2)):
         with pytest.raises(ValueError):
-            op.rows(bad_b0, np.ones(shape[0]), np.zeros(shape))
+            op.rows(bad_b0, np.ones(rows))

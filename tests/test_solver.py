@@ -21,25 +21,23 @@ ZERO = parse("0")
 
 
 def test_prefix_first_order():
-    assert np.array_equal(init_prefix([3.5], 0.1, 1), [3.5])
+    assert np.array_equal(init_prefix([3.5], 0.1), [3.5])
 
 
 def test_prefix_second_order():
-    assert np.array_equal(init_prefix([0.0, 0.0], 0.1, 2), [0.0, 0.0])
-    assert np.allclose(init_prefix([1.0, 2.0], 0.1, 2), [1.0, 1.2], rtol=1e-15)
+    assert np.array_equal(init_prefix([0.0, 0.0], 0.1), [0.0, 0.0])
+    assert np.allclose(init_prefix([1.0, 2.0], 0.1), [1.0, 1.2], rtol=1e-15)
 
 
 def test_prefix_higher_order_taylor():
-    y = init_prefix([1.0, 1.0, 2.0], 0.5, 3)
+    y = init_prefix([1.0, 1.0, 2.0], 0.5)
     # y_j = 1 + (jh) + (jh)^2
     assert np.allclose(y, [1.0, 1.75, 3.0], rtol=1e-15)
 
 
 def test_prefix_argument_checks():
     with pytest.raises(ValueError):
-        init_prefix([1.0, 2.0], 0.1, 1)
-    with pytest.raises(ValueError):
-        init_prefix([], 0.1, 0)
+        init_prefix([], 0.1)
 
 
 def test_zero_data_gives_exact_zero():
@@ -56,7 +54,7 @@ def test_elimination_matches_dense_solve():
     problem = FDEProblem((DerivativeTerm(0.5, ONE),), parse("1+x"), parse("sin(x)"), (0.7,))
     h, m_max = 0.03125, 48
     rows = assemble_system(problem, h, m_max)
-    prefix = init_prefix(problem.initial_conditions, h, 1)
+    prefix = init_prefix(problem.initial_conditions, h)
     y, pivot_min = eliminate(rows, prefix)
     assert pivot_min > 0
 
@@ -175,6 +173,17 @@ def test_calibration_scale_invariance():
     with pytest.raises(ArithmeticError, match=r"^perturbed solve is 0\.0 at the reference node") as info:
         calibrate(problem, 0.0, reference, h, rows)
     assert "np.float64" not in str(info.value)
+
+
+def test_stats_count_the_work_of_a_small_solve():
+    # D^1.5 y + y = 1 at h = 0.125, M = 16: rows m = 2..16, m + 1 coefficients and m multiply-adds each
+    counts = {"rows": 15, "coef_bytes": 1200, "madds": 135, "rows_checked": 15}
+    result = solve(FDEProblem((DerivativeTerm(1.5, ONE),), ONE, ONE, (0.0, 0.0)), 0.125, 16)
+    assert dict(result.stats) == counts
+    with pytest.raises(TypeError):
+        result.stats["rows"] = 0
+    homogeneous = FDEProblem((DerivativeTerm(1.5, ONE),), ONE, ZERO, (0.0, 0.0))
+    assert dict(calibrate(homogeneous, 1e-4, (1.0, 1.0), 0.125, 16).stats) == counts
 
 
 def test_calibration_zero_reference_gives_zero():
