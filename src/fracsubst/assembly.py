@@ -19,12 +19,14 @@ the first block starting at row r: each term returns its rows as one
 C-contiguous (b1 - b0) x b1 array (:meth:`~.caputo.SubstitutionOperator.rows`),
 the first term's array becomes the system block, each later term's is added
 into it in term order, and row m's ``d`` is the read-only view
-``block[i, :m+1]``.  The degraded flags come from the same
-calls; the off-diagonal 1-norms take one pass per block through a scratch
-of ``SCRATCH_ROWS`` rows, reused for the whole system.  A block is built
-with numpy's overflow and invalid-value warnings off: the first row whose
-norm or diagonal is then not finite (finite data whose products overflow)
-raises ``OverflowError`` naming it.
+``block[i, :m+1]``.  Row r alone is degraded: every node of a term of
+order r takes the plain r-th difference there, and the row n of a term of
+lower order n lies in the initial-condition prefix.  The off-diagonal
+1-norms take one pass per block through a scratch of ``SCRATCH_ROWS``
+rows, reused for the whole system.  A block is built with numpy's overflow
+and invalid-value warnings off: the first row whose norm or diagonal is
+then not finite (finite data whose products overflow) raises
+``OverflowError`` naming it.
 
 Rows are dense.  A system takes exactly 8 sum_m (m+1) bytes of
 coefficients, the upper-triangle padding of its blocks (8 k(k-1)/2 bytes
@@ -76,8 +78,8 @@ class DerivativeTerm:
 class FDEProblem:
     """Linear FDE with initial conditions y(0), y'(0), ..., y^(r-1)(0).
 
-    The equation order r is ceil(max alpha); exactly r initial conditions
-    are required.  Terms are kept sorted ascending by alpha.
+    The equation order r is ceil(max alpha); exactly r finite initial
+    conditions are required.  Terms are kept sorted ascending by alpha.
     """
 
     terms: tuple[DerivativeTerm, ...]
@@ -96,6 +98,8 @@ class FDEProblem:
             raise ValueError(
                 f"order-{self.order} problem needs {self.order} initial conditions, got {len(ics)}"
             )
+        if not all(math.isfinite(v) for v in ics):
+            raise ValueError(f"initial conditions must be finite, got {ics!r}")
 
     @property
     def order(self) -> int:
@@ -106,8 +110,8 @@ class FDEProblem:
 class AssembledRow:
     """Finite coefficients of one grid row: d_0..d_m, diagonal addend p_m, rhs f_m.
 
-    ``degraded`` marks row m = n of a term, where every node takes the
-    plain n-th difference.
+    ``degraded`` marks row m = r, the problem's order, where every node of
+    a term of order r takes the plain r-th difference.
     ``offdiag`` is the off-diagonal 1-norm sum_{k<m} |d_k|, for the pivot
     test of the solver and the dominance check, computed here when not
     given.  One finiteness rule holds either way: a finite norm means
@@ -168,19 +172,17 @@ def _assemble(problem: FDEProblem, h: float, ms: range) -> list[AssembledRow]:
         b1 = min(b0 + BLOCK_ROWS, ms.stop)
         at = slice(b0 - ms.start, b1 - ms.start)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, by its row
-            block, degraded = ops[0].rows(b0, qs[0][at])
+            block = ops[0].rows(b0, qs[0][at])
             for q, op in zip(qs[1:], ops[1:]):
-                more, deg = op.rows(b0, q[at])
-                block += more
-                degraded |= deg
+                block += op.rows(b0, q[at])
             offdiag = _offdiag(block, b0, scratch)
         bad = np.flatnonzero(~(np.isfinite(offdiag) & np.isfinite(np.diagonal(block, b0))))
         if bad.size:
             raise OverflowError(f"coefficients of row {b0 + bad[0]} are not finite (assembly overflowed)")
         block.flags.writeable = False
-        for i, (m, deg, norm) in enumerate(zip(range(b0, b1), degraded.tolist(), offdiag.tolist())):
+        for i, (m, norm) in enumerate(zip(range(b0, b1), offdiag.tolist())):
             j = i + at.start
-            rows.append(AssembledRow(m, block[i, : m + 1], p[j], f[j], deg, norm))
+            rows.append(AssembledRow(m, block[i, : m + 1], p[j], f[j], m == problem.order, norm))
     return rows
 
 

@@ -187,10 +187,10 @@ class SubstitutionOperator:
         self._tail: np.ndarray | None = None  # row `size` at scale 1 and zeros, built by the first steady row
         self._block: np.ndarray | None = None
 
-    def rows(self, b0: int, scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def rows(self, b0: int, scale: np.ndarray) -> np.ndarray:
         """``scale[i]`` times row m = b0 + i, for the rows b0..b1-1 (b1 = b0 +
         len(scale), b0 >= n), as a new C-contiguous (b1 - b0, b1) block with
-        zeros right of the diagonal, and each row's degraded flag.
+        zeros right of the diagonal.
 
         Rows below ``steady`` are scattered node by node into their row of
         the block.  In the others column k >= a of row m is tail[size - m + k],
@@ -199,8 +199,7 @@ class SubstitutionOperator:
         stride) times the scales.  Their columns below a are the block times
         [weights[m], pair[m-1], ..., pair[m-J+1]], one matrix-vector product
         per row in a single batched matmul, which sums in the same order as a
-        lone product would.  No stencil function is called for them and none
-        is degraded."""
+        lone product would.  No stencil function is called for them."""
         rows = scale.size
         b1 = b0 + rows
         if not (self.n <= b0 and b1 <= self.size + 1):
@@ -208,11 +207,10 @@ class SubstitutionOperator:
         k = min(max(self.steady - b0, 0), rows)  # rows b0..b0+k-1 are scattered
         out = np.empty((rows, b1))
         out[:k] = 0.0
-        degraded = np.zeros(rows, dtype=bool)
         for i in range(k):
-            degraded[i] = self._scatter(b0 + i, scale[i], out[i])
+            self._scatter(b0 + i, scale[i], out[i])
         if k == rows:
-            return out, degraded
+            return out
         if self._tail is None:
             self._build_steady()
         s0, a, size, jn = b0 + k, self._a, self.size, self._block.shape[1]
@@ -224,7 +222,7 @@ class SubstitutionOperator:
         left *= (scale[k:] / (2.0 * self._gamma))[:, None]
         out[k:, :a] = left
         np.multiply(toeplitz, scale[k:, None], out=out[k:, a:])
-        return out, degraded
+        return out
 
     def _build_steady(self) -> None:
         """Row ``size`` by the scatter, zero-padded to twice its length, and the
@@ -233,7 +231,7 @@ class SubstitutionOperator:
         n2, a = (self.n + 1) // 2, self._a
         block = np.zeros((a, a + n2))
         for j in range(a + n2):
-            offs, wts, _ = node_weights(j, self.steady, self.n)
+            offs, wts = node_weights(j, self.steady, self.n)
             keep = j + offs < a
             block[j + offs[keep], j] += wts[keep]
         block /= self.h**self.n
@@ -244,22 +242,18 @@ class SubstitutionOperator:
         tail.flags.writeable = False
         self._tail = tail
 
-    def _scatter(self, m: int, scale: float, d: np.ndarray) -> bool:
-        """Add ``scale`` times row m into ``d[:m+1]`` node by node; returns
-        whether a node took the plain n-th difference."""
+    def _scatter(self, m: int, scale: float, d: np.ndarray) -> None:
+        """Add ``scale`` times row m into ``d[:m+1]`` node by node."""
         lo, hi = (self.n + 1) // 2, m - (self.n + 1) // 2
         k = scale / (2.0 * self._gamma)
         if lo <= hi:
             pair = self._pair[m - lo : m - hi - 1 : -1]
             for o, a in self._central:
                 d[lo + o : hi + o + 1] += pair * (a * (k / self.h**self.n))
-        degraded = False
         for j in [*range(min(lo, m + 1)), *range(max(lo, hi + 1), m + 1)]:
-            offs, wts, deg = node_weights(j, m, self.n)
-            degraded = degraded or deg
+            offs, wts = node_weights(j, m, self.n)
             c = self.weights[m] if j == 0 else self._pair[m - j]
             d[j + offs] += wts * (k * c / self.h**self.n)
-        return degraded
 
     def apply_rows(self, y: Sequence[float], b0: int, b1: int) -> np.ndarray:
         """D^alpha y(x_m), m = b0..b1-1 (n <= b0 < b1 <= size + 1), from samples
@@ -279,19 +273,19 @@ class SubstitutionOperator:
         values = np.empty(b1 - b0)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, by its row
             if b0 == n:  # every node of row n takes the plain difference on 0..n
-                offs, wts, _ = node_weights(0, n, n)
+                offs, wts = node_weights(0, n, n)
                 values[0] = self._trapezoid(np.full(n + 1, wts @ y[offs] / hn), n)[0]
             if k < b1:
                 g = np.zeros(b1)  # zero where the central stencil would read past y_{b1-1}
                 for j in range(n2):
-                    offs, wts, _ = node_weights(j, k, n)
+                    offs, wts = node_weights(j, k, n)
                     g[j] = wts @ y[j + offs]
                 for o, a in self._central:
                     g[n2 : b1 - n2] += a * y[n2 + o : b1 - n2 + o]
                 g /= hn
                 q = self._trapezoid(g, k)  # rows k..b1-1
                 for r in range(n2):
-                    offs, wts, _ = node_weights(k - r, k, n)
+                    offs, wts = node_weights(k - r, k, n)
                     back = sum(a * y[k - r + o : b1 - r + o] for o, a in zip(offs, wts)) / hn
                     q += self._pair[r] / (2.0 * self._gamma) * (back - g[k - r : b1 - r])
                 values[k - b0 :] = q

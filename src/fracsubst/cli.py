@@ -23,11 +23,12 @@ difference in row n, and an error on fewer than n steps), over samples of
 f^(n) for ``--dnf``; a non-finite ``deriv`` value (finite samples whose sum
 overflows) exits 2.
 Exit codes are decided in :func:`main` by exception class: 0 success; 1 and
-one ``error:`` line for a ``ValueError`` (usage, config or argument error) or
-an ``OSError`` (unreadable config, unwritable output); 2 and one ``numerical
-failure:`` line for an ``ArithmeticError`` (non-finite data, an overflowing
-row or solution, a singular pivot); 2 and ``out of memory:`` for a dense
-system larger than physical memory.
+one ``error:`` line for a ``ValueError`` (usage, config or argument error,
+non-finite initial conditions, calibration values or oracle parameters
+among them) or an ``OSError`` (unreadable config, unwritable output); 2 and
+one ``numerical failure:`` line for an ``ArithmeticError`` (non-finite data,
+an overflowing row, solution or calibration rescale, a singular pivot); 2
+and ``out of memory:`` for a dense system larger than physical memory.
 """
 
 from __future__ import annotations

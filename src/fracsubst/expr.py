@@ -120,11 +120,12 @@ class Expression:
         raise NotImplementedError
 
     def __call__(self, v):
-        """Value at the float ``v``, or values at every point of the array ``v``."""
+        """Value at ``v`` taken as a Python float (so a numpy scalar meets the
+        :mod:`math` path's checks), or values at every point of the array ``v``."""
         if isinstance(v, np.ndarray):
             with np.errstate(all="ignore"):
                 return self._values(np.asarray(v, dtype=float))
-        return self.eval(v)
+        return self.eval(float(v))
 
     def _precedence(self) -> int:
         return _PREC_ATOM

@@ -44,10 +44,10 @@ def caputo_power(alpha: float, beta: float, t: float) -> float:
     inner classical derivative).  Raises for beta - alpha + 1 at a gamma
     pole, where the rule is undefined.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and positive, got {alpha!r}")
+    if not (math.isfinite(beta) and beta >= 0):
+        raise ValueError(f"beta must be finite and nonnegative, got {beta!r}")
     n = math.ceil(alpha)
     if beta == int(beta) and beta < n:
         return 0.0
@@ -71,10 +71,10 @@ def mittag_leffler(a: float, b: float, z: float, tol: float = 1e-12) -> float:
     Summation stops once |term| < tol * |partial sum| holds for three
     consecutive terms.  Real z with |z| <= 50 (series regime).
     """
-    if a <= 0:
-        raise ValueError("need a > 0")
-    if abs(z) > 50:
-        raise ValueError("|z| > 50 is outside the series regime")
+    if not (math.isfinite(a) and a > 0 and math.isfinite(b) and math.isfinite(tol)):
+        raise ValueError(f"need a finite a > 0, b and tol, got a={a!r}, b={b!r}, tol={tol!r}")
+    if not abs(z) <= 50:
+        raise ValueError(f"|z| > 50 is outside the series regime, got z={z!r}")
     if z == 0.0:
         return _recip_gamma(b)
     log_abs_z = math.log(abs(z))
@@ -192,8 +192,8 @@ def bessel_series(nu: float, n_terms: int = 1500) -> SeriesSolution:
     [0, 5]; ``radius_hint`` reports the trustworthy range for the chosen
     truncation.
     """
-    if nu <= 0:
-        raise ValueError("nu must be positive")
+    if not (math.isfinite(nu) and nu > 0):
+        raise ValueError(f"nu must be finite and positive, got {nu!r}")
     if not 1 <= n_terms <= 20_000:
         raise ValueError("n_terms out of range")
     s = _exponent_increment(BESSEL_TERMS)

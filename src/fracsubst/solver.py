@@ -66,12 +66,12 @@ class SolveResult:
 
     ``report`` is the dominance check over the assembled rows, attached
     whether or not it is satisfied; ``pivot_min`` is the smallest |d_m +
-    p_m| met during elimination; ``degraded_rows`` lists each row m = n of
-    a term, where every node takes the plain n-th difference.  ``stats`` is
-    a read-only count of the work done: ``rows`` assembled, ``coef_bytes``
-    of their coefficients, ``madds`` (sum of m over the eliminated rows, one
-    multiply-add per off-diagonal coefficient) and ``rows_checked`` by the
-    dominance check.
+    p_m| met during elimination; ``degraded_rows`` is always ``(r,)``, r =
+    ``problem.order``: the one row where every node of a term of order r
+    takes the plain r-th difference.  ``stats`` is a read-only count of the
+    work done: ``rows`` assembled, ``coef_bytes`` of their coefficients,
+    ``madds`` (sum of m over the eliminated rows, one multiply-add per
+    off-diagonal coefficient) and ``rows_checked`` by the dominance check.
     """
 
     grid: Grid
@@ -156,9 +156,13 @@ def calibrate(
     rescaled to pass through the reference point (t*, u*).  For a linear
     homogeneous equation the seed only scales the solution, so the result
     is epsilon-independent; the anchor value at t* is refused only when it
-    is 0 or below 1e-12 of the perturbed solution's own max|y|.
+    is 0 or below 1e-12 of the perturbed solution's own max|y|.  A
+    non-finite epsilon, t* or u* raises ``ValueError``; a rescale that
+    overflows raises ``OverflowError`` naming the first non-finite node.
     """
     t_star, u_star = reference
+    if not all(math.isfinite(v) for v in (epsilon, t_star, u_star)):
+        raise ValueError(f"calibration needs a finite epsilon, t* and u*, got {epsilon!r}, {t_star!r}, {u_star!r}")
     if any(c != 0.0 for c in problem.initial_conditions):
         raise ValueError("calibration expects zero initial data")
     i_star = int(round(t_star / h))
@@ -172,7 +176,11 @@ def calibrate(
     anchor = float(base.y[i_star])
     if not abs(anchor) > 1e-12 * np.max(np.abs(base.y)):
         raise ArithmeticError(f"perturbed solve is {anchor!r} at the reference node; cannot calibrate")
-    y = base.y * (u_star / anchor)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, by its node
+        y = base.y * (u_star / anchor)
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        raise OverflowError(f"rescaling to u*={u_star!r} overflows: the solution is not finite at node {bad[0]}")
     y.flags.writeable = False
     return SolveResult(base.grid, y, base.report, base.pivot_min, base.degraded_rows, base.stats)
 

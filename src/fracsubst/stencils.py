@@ -114,7 +114,7 @@ def backward(n: int) -> Stencil:
     return _window(n, -n - 1, 0, _norm_denominator(n))
 
 
-def node_weights(j: int, m: int, n: int) -> tuple[np.ndarray, np.ndarray, bool]:
+def node_weights(j: int, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Stencil for the n-th derivative at node j of a grid 0..m.
 
     Node j takes :func:`central` where it fits in 0..m, n2 = ceil(n/2) <= j
@@ -125,10 +125,10 @@ def node_weights(j: int, m: int, n: int) -> tuple[np.ndarray, np.ndarray, bool]:
     window fits, and the node takes the plain n-th difference on 0..n, an
     O(h) proxy anywhere inside it.
 
-    Returns ``(offsets, coefficients, degraded)``: the derivative at node j
-    is ``coefficients @ y[j + offsets] / h**n``, the float weights already
-    divided by B; ``degraded`` marks the plain difference (for even n the
-    central stencil of row m = n is one too).
+    Returns ``(offsets, coefficients)``: the derivative at node j is
+    ``coefficients @ y[j + offsets] / h**n``, the float weights already
+    divided by B.  On the grid m = n every node takes a plain difference,
+    the central one of even n too.
     """
     n2 = (n + 1) // 2
     if n2 <= j <= m - n2:
@@ -139,4 +139,4 @@ def node_weights(j: int, m: int, n: int) -> tuple[np.ndarray, np.ndarray, bool]:
         width = n + 1 if m == n else n + 2
         lo = min(max(j - n2, 0), m + 1 - width) - j
         st = _window(n, lo, lo + width - 1, 1 if m == n else _norm_denominator(n))
-    return np.asarray(st.offsets), st.coefficients(), m == n
+    return np.asarray(st.offsets), st.coefficients()

@@ -143,8 +143,15 @@ def test_system_shape_and_zero_rhs():
 def test_relaxation_system_degraded_rows_are_early():
     problem = FDEProblem((DerivativeTerm(1.5, ONE),), ONE, ONE, (0.0, 0.0))
     rows = assemble_system(problem, 0.1, 20)
-    degraded = [row.m for row in rows if row.degraded]
-    assert all(m < 4 for m in degraded)
+    assert [row.m for row in rows if row.degraded] == [2]
+    # fig5's three terms of orders 2, 2 and 1: row 1 of the order-1 term lies in the prefix
+    terms = (
+        DerivativeTerm(1.5, parse("1.5*x^1.5")),
+        DerivativeTerm(1.1, parse("-1.2*x^1.9")),
+        DerivativeTerm(0.5, parse("3*x")),
+    )
+    bessel = FDEProblem(terms, parse("x^2 - 4"), ZERO, (0.0, 0.0))
+    assert [row.m for row in assemble_system(bessel, 0.1, 20) if row.degraded] == [2]
 
 
 def test_stencil_lookups_do_not_grow_with_the_grid(monkeypatch):
@@ -277,14 +284,13 @@ def assert_rows_match_the_reference(problem, h, m_max):
     p, f = problem.p, problem.f
     for row in rows:
         m, t = row.m, row.m * h
-        want, size, degraded = np.zeros(m + 1), 0.0, False
+        want, size = np.zeros(m + 1), 0.0
         for term in problem.terms:
-            _, ref, deg, _, _ = reference_rule(term.alpha, h, m, np.zeros(m + 1))
+            _, ref, _, _ = reference_rule(term.alpha, h, m, np.zeros(m + 1))
             want += term.coefficient(t) * ref
             size += abs(term.coefficient(t)) * np.sum(np.abs(ref))
-            degraded = degraded or deg
         assert np.max(np.abs(row.d - want)) <= 1e-12 * size, m
-        assert row.degraded == degraded, m
+        assert row.degraded == any(m == term.n for term in problem.terms), m
         assert row.offdiag == pytest.approx(float(np.abs(row.d[:m]).sum()), rel=1e-14, abs=0), m
         assert row.p_m == pytest.approx(p(t), rel=1e-15) and row.rhs == pytest.approx(f(t), rel=1e-15)
         assert not row.d.flags.writeable
@@ -339,7 +345,7 @@ def test_bessel_rows_are_the_term_blocks_summed_in_term_order():
     ops = [caputo.SubstitutionOperator(term.alpha, h, m_max) for term in problem.terms]
     for b0 in range(2, m_max + 1, assembly.BLOCK_ROWS):
         at = slice(b0 - 2, min(b0 + assembly.BLOCK_ROWS, m_max + 1) - 2)
-        first, *later = [op.rows(b0, q[at])[0] for op, q in zip(ops, qs)]
+        first, *later = [op.rows(b0, q[at]) for op, q in zip(ops, qs)]
         for block in later:
             first = first + block
         for i, row in enumerate(rows[at]):

@@ -173,8 +173,8 @@ def test_riemann_liouville_argument_checks():
 def reference_rule(alpha, h, m, y):
     """Plain loop over every node: trapezoid node weights from scalar pair
     weights, node_weights stencils everywhere.  Returns the quadrature row,
-    the assembled row, its degraded flag, the stencil-first sum on y and
-    that sum taken over |stencil terms|, the size its rounding scales with.
+    the assembled row, the stencil-first sum on y and that sum taken over
+    |stencil terms|, the size its rounding scales with.
 
     The pair weights are ((i-1)h)**s * ((i/(i-1))**s - 1), evaluated so that
     nothing cancels: the plain difference loses all digits for alpha one ulp
@@ -189,18 +189,16 @@ def reference_rule(alpha, h, m, y):
     row = np.zeros(m + 1)
     deriv = np.zeros(m + 1)
     size = np.zeros(m + 1)
-    degraded = False
     for j in range(m + 1):
         quad[j] = ((pair[m - j + 1] if j > 0 else 0.0) + pair[m - j]) / (2.0 * gam)
-        offs, wts, deg = node_weights(j, m, n)
-        degraded = degraded or deg
+        offs, wts = node_weights(j, m, n)
         for o, a in zip(offs, wts):
             row[j + o] += a * quad[j] / h**n
         deriv[j] = sum(a * y[j + o] for o, a in zip(offs, wts)) / h**n
         size[j] = sum(abs(a * y[j + o]) for o, a in zip(offs, wts)) / h**n
     value = math.fsum(0.5 * (deriv[k - 1] + deriv[k]) * pair[m - k + 1] / gam for k in range(1, m + 1))
     scale = math.fsum(0.5 * (size[k - 1] + size[k]) * pair[m - k + 1] / gam for k in range(1, m + 1))
-    return quad, row, degraded, value, scale
+    return quad, row, value, scale
 
 
 fractional = st.floats(0.0, 5.0, exclude_min=True, exclude_max=True).filter(lambda a: a != int(a))
@@ -221,16 +219,15 @@ def test_operator_matches_plain_reference(alpha, h, data):
     y = np.random.default_rng(seed).standard_normal(m + 1)
     g = np.random.default_rng(seed + 1).standard_normal(size + 1)
     op = SubstitutionOperator(alpha, h, size)
-    quad, row, degraded, value, scale = reference_rule(alpha, h, m, y)
+    quad, row, value, scale = reference_rule(alpha, h, m, y)
     assert abs(op.quadrature(g)[m - 1] - quad @ g[: m + 1]) <= 1e-12 * (np.abs(quad) @ np.abs(g[: m + 1]))
-    (d,), (deg,) = op.rows(m, np.array([1.0]))
+    (d,) = op.rows(m, np.array([1.0]))
     assert np.max(np.abs(d - row)) <= 1e-12 * np.sum(np.abs(row))
-    assert deg == degraded
     assert abs(op.apply_rows(y, m, m + 1)[0] - value) <= 1e-12 * scale
     # rows n..m in one call: the first and the last are held to their references
     values = op.apply_rows(y, n, m + 1)
     assert abs(values[-1] - value) <= 1e-12 * scale
-    _, _, _, value, scale = reference_rule(alpha, h, n, y)
+    _, _, value, scale = reference_rule(alpha, h, n, y)
     assert abs(values[0] - value) <= 1e-12 * scale
 
 
@@ -245,7 +242,7 @@ def test_inverse_steady_kernel_grows_like_a_fractional_integral(alpha):
     # lower-triangular Toeplitz system; its inverse kernel g must grow no faster than the
     # discrete fractional integral's j^(alpha-1), never geometrically (an unstable edge closure)
     size, reach = 800, 400
-    row, _ = SubstitutionOperator(alpha, 1.0, size).rows(size, np.ones(1))
+    row = SubstitutionOperator(alpha, 1.0, size).rows(size, np.ones(1))
     c = row[0, ::-1][: reach + 1]
     g = np.zeros(reach + 1)
     g[0] = 1.0 / c[0]
@@ -256,14 +253,14 @@ def test_inverse_steady_kernel_grows_like_a_fractional_integral(alpha):
 
 
 def test_rows_below_order_three_are_pinned():
-    # every row and degraded flag of the n <= 2 operators, in 64-row blocks, bit for bit
+    # every row of the n <= 2 operators, in 64-row blocks, bit for bit, and which row is m = n
     digest = hashlib.sha256()
     for alpha in (0.3, 0.5, 0.8, 1 - 1e-9, 1.1, 1.5, 1.9, 2 - 1e-9):
         op = SubstitutionOperator(alpha, 2.0**-6, 300)
         for b0 in range(op.n, 301, 64):
             b1 = min(b0 + 64, 301)
-            out, flags = op.rows(b0, np.ones(b1 - b0))
-            digest.update(out.tobytes() + flags.tobytes())
+            out = op.rows(b0, np.ones(b1 - b0))
+            digest.update(out.tobytes() + (np.arange(b0, b1) == op.n).tobytes())
     assert digest.hexdigest() == "e3485e403fd11474240154398b0fe964f303e6a315b7769c1c8d0af23368b0f1"
 
 
@@ -278,7 +275,7 @@ def test_apply_rows_crosses_steady_and_block_boundaries(alpha):
     assert values.shape == (size + 1 - n,)
     bounds = []
     for m, got in zip(range(n, size + 1), values):
-        _, _, _, value, scale = reference_rule(alpha, 0.05, m, y)
+        _, _, value, scale = reference_rule(alpha, 0.05, m, y)
         assert abs(got - value) <= 1e-12 * scale, m
         bounds.append(1e-12 * scale)
     mid = n + BLOCK_ROWS // 2 + 1  # a later first row
@@ -370,8 +367,8 @@ def test_weights_of_far_pairs_match_the_operator():
 def test_operator_rows_are_scaled():
     for size, m in ((8, 5), (64, 40)):  # a startup and a steady row
         op = SubstitutionOperator(1.5, 0.125, size)
-        scaled, _ = op.rows(m, np.array([3.0]))
-        plain, _ = op.rows(m, np.array([1.0]))
+        scaled = op.rows(m, np.array([3.0]))
+        plain = op.rows(m, np.array([1.0]))
         assert scaled.shape == plain.shape == (1, m + 1)
         assert np.allclose(scaled, 3.0 * plain, rtol=1e-15, atol=0)
         for bad in (1, size + 1):
@@ -384,15 +381,13 @@ def test_operator_rows_are_scaled():
 @pytest.mark.parametrize("alpha", [0.6, 1.5, 2.4])
 def test_block_straddling_steady_equals_the_stacked_rows(alpha):
     op = SubstitutionOperator(alpha, 0.05, 40)
-    b0, b1 = op.n, op.steady + 5  # degraded, scattered and Toeplitz rows in one block
+    b0, b1 = op.n, op.steady + 5  # row n, scattered and Toeplitz rows in one block
     scale = np.random.default_rng(7).uniform(-2.0, 2.0, b1 - b0)
-    written, flags = op.rows(b0, scale)
+    written = op.rows(b0, scale)
     assert written.shape == (b1 - b0, b1) and written.flags.c_contiguous
     for i, m in enumerate(range(b0, b1)):
-        (d,), (degraded,) = op.rows(m, scale[i : i + 1])
+        (d,) = op.rows(m, scale[i : i + 1])
         assert np.array_equal(written[i, : m + 1], d) and np.all(written[i, m + 1 :] == 0.0), m
-        assert flags[i] == degraded, m
-    assert flags[0] and not flags[-1]
     for bad_b0, rows in ((op.n - 1, b1 - b0), (op.size, 2)):
         with pytest.raises(ValueError):
             op.rows(bad_b0, np.ones(rows))

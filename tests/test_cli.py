@@ -271,6 +271,10 @@ def test_solve_above_order_two_stays_bounded(tmp_path, capsys):
         ["stencil", "--n", "0"],
         ["oracle", "--name", "relaxation", "--alpha", "2.5", "--h", "0.5", "--t-end", "1"],
         ["converge", "--exact", "x", "--levels", "0"],
+        ["oracle", "--name", "bessel-series", "--nu", "nan", "--h", "0.5", "--t-end", "1"],
+        ["oracle", "--name", "caputo-power", "--alpha", "0.5", "--beta", "inf", "--h", "0.5", "--t-end", "1"],
+        ["oracle", "--name", "mittag-leffler", "--a", "nan", "--b", "1", "--h", "0.5", "--t-end", "1"],
+        ["oracle", "--name", "mittag-leffler", "--a", "0.5", "--b", "nan", "--h", "0.5", "--t-end", "1"],
     ],
 )
 def test_argument_errors_exit_one_with_one_line(argv, relax_cfg, capsys):
@@ -283,7 +287,8 @@ def test_argument_errors_exit_one_with_one_line(argv, relax_cfg, capsys):
 
 
 OVERFLOW_CFG = 'term = 0.5, "1e306"\np = "1"\nf = "1"\nic = 0\nh = 0.0009765625\nt_end = 1\n'
-CALIBRATE_CFG = 'term = 1.5, "1"\np = "1"\nf = "0"\nic = {ic}\nh = 0.1\nt_end = 1\ncalibrate = 1e-4, {t_star}, 0.5\n'
+CALIBRATE_CFG = 'term = 1.5, "1"\np = "1"\nf = "0"\nic = {ic}\nh = 0.1\nt_end = 1\ncalibrate = 1e-4, {t_star}, {u_star}\n'
+NOT_FINITE_CALIBRATION = "error: calibration needs a finite epsilon, t* and u*"
 
 
 @pytest.mark.parametrize(
@@ -292,15 +297,25 @@ CALIBRATE_CFG = 'term = 1.5, "1"\np = "1"\nf = "0"\nic = {ic}\nh = 0.1\nt_end = 
         ("solve", OVERFLOW_CFG, "y.csv", 2, "numerical failure: coefficients of row 2 are not finite "),
         ("condition", OVERFLOW_CFG, "y.csv", 2, "numerical failure: coefficients of row 2 are not finite "),
         ("assemble", OVERFLOW_CFG, "y.csv", 2, "numerical failure: coefficients of row 2 are not finite "),
-        ("solve", CALIBRATE_CFG.format(ic="0, 0", t_star=1.33), "y.csv", 1,
+        ("solve", CALIBRATE_CFG.format(ic="0, 0", t_star=1.33, u_star=0.5), "y.csv", 1,
          "error: reference point 1.33 is not a grid node"),
-        ("solve", CALIBRATE_CFG.format(ic="1, 0", t_star=1.0), "y.csv", 1,
+        ("solve", CALIBRATE_CFG.format(ic="1, 0", t_star=1.0, u_star=0.5), "y.csv", 1,
          "error: calibration expects zero initial data"),
+        # u*/anchor overflows, so even y(0) = 0 rescales to nan
+        ("solve", CALIBRATE_CFG.format(ic="0, 0", t_star=1.0, u_star=1e308), "y.csv", 2,
+         "numerical failure: rescaling to u*=1e+308 overflows: the solution is not finite at node 0"),
+        ("solve", CALIBRATE_CFG.format(ic="0, 0", t_star=1.0, u_star="inf"), "y.csv", 1, NOT_FINITE_CALIBRATION),
+        ("solve", CALIBRATE_CFG.format(ic="0, 0", t_star="inf", u_star=0.5), "y.csv", 1, NOT_FINITE_CALIBRATION),
+        ("solve", CALIBRATE_CFG.format(ic="0, 0", t_star=1.0, u_star=0.5).replace("1e-4", "inf"), "y.csv", 1,
+         NOT_FINITE_CALIBRATION),
+        ("solve", RELAX_CFG.replace("ic = 0, 0", "ic = inf, 0"), "y.csv", 1, "error: initial conditions must be finite"),
+        ("solve", RELAX_CFG.replace("ic = 0, 0", "ic = nan, 0"), "y.csv", 1, "error: initial conditions must be finite"),
         ("solve", RELAX_CFG, "missing/y.csv", 1, "error: [Errno 2] No such file or directory: "),
         ("solve", RELAX_CFG.replace("# relaxation", "# caf\xe9 relaxation"), "y.csv", 1,
          "error: 'utf-8' codec can't decode byte 0xe9 "),
     ],
     ids=["overflow", "overflow-condition", "overflow-assemble", "off-grid-reference", "nonzero-data",
+         "overflowing-rescale", "infinite-u-star", "infinite-t-star", "infinite-epsilon", "infinite-ic", "nan-ic",
          "unwritable-out", "non-utf8-config"],
 )
 def test_failures_exit_by_exception_class_with_one_line(command, config, out_name, code, last_line, tmp_path, capsys):
@@ -328,6 +343,11 @@ def test_step_too_small_for_the_order_exits_one(argv, tmp_path, capsys):
     assert main([*argv, "--h", "1e-200", "--t-end", "1e-198", "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: step h=1e-200 is too small for order n=2: h**n underflows\n"
     assert not out.exists()
+
+
+def test_converge_exact_solution_outside_its_domain_exits_two_with_one_line(relax_cfg, capsys):
+    assert main(["converge", "--config", relax_cfg, "--exact", "1/(t-1)", "--levels", "1"]) == 2
+    assert capsys.readouterr().err == "numerical failure: division by zero in '1.0/(x-1.0)'\n"
 
 
 def test_deriv_evaluates_the_expression_on_the_whole_grid(capsys):

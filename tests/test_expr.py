@@ -179,3 +179,12 @@ def test_scalar_evaluation_stays_on_floats():
     value = parse("x*exp(-x) + sin(0.2*x)")(2.0)
     assert type(value) is float
     assert value == 2.0 * math.exp(-2.0) + math.sin(0.2 * 2.0)
+
+
+def test_numpy_scalars_take_the_float_path():
+    # a grid node read from an array is a numpy scalar, whose 1/0 would warn and give inf
+    with pytest.raises(DomainError) as info:
+        parse("1/(x-1)")(np.float64(1.0))
+    assert str(info.value) == "division by zero in '1.0/(x-1.0)'"
+    value = parse("x^0.5")(np.float64(2.0))
+    assert type(value) is float and value == 2.0**0.5

@@ -115,9 +115,9 @@ def test_relaxation_solve_tracks_oracle():
     # startup regularity limits the rate for this solution; pin the level
     assert err == pytest.approx(0.028380, abs=2e-4)
     assert result.pivot_min > 0
-    # "degraded" means a reduced-order fallback stencil was used: at m = 2 the
-    # forward stencil for y'' at node 0 needs nodes 0..3; from m = 3 on every
-    # node gets its standard stencil
+    # "degraded" marks row m = n = 2, where every node takes the plain second
+    # difference on nodes 0..2, as the n+2 = 4 nodes of a second-order
+    # stencil do not fit; from m = 3 on every node gets its second-order one
     assert result.degraded_rows == (2,)
 
 

@@ -145,27 +145,27 @@ def test_float_weights_converted_once_and_read_only(kind):
 
 
 def test_node_assignment_standard():
-    offs, _, deg = node_weights(0, 10, 1)
-    assert not deg and offs[0] == 0  # forward at the left edge
-    offs, _, deg = node_weights(10, 10, 1)
-    assert not deg and offs[-1] == 0  # backward at the right edge
-    offs, _, deg = node_weights(5, 10, 2)
-    assert not deg and tuple(offs) == (-1, 0, 1)
+    offs, _ = node_weights(0, 10, 1)
+    assert offs[0] == 0  # forward at the left edge
+    offs, _ = node_weights(10, 10, 1)
+    assert offs[-1] == 0  # backward at the right edge
+    offs, _ = node_weights(5, 10, 2)
+    assert tuple(offs) == (-1, 0, 1)
     # order 3 needs two off-centre nodes on each end, each reading the n+2 edge nodes
-    offs, _, deg = node_weights(1, 10, 3)
-    assert not deg and tuple(offs) == (-1, 0, 1, 2, 3)
-    offs, _, deg = node_weights(9, 10, 3)
-    assert not deg and tuple(offs) == (-3, -2, -1, 0, 1)
+    offs, _ = node_weights(1, 10, 3)
+    assert tuple(offs) == (-1, 0, 1, 2, 3)
+    offs, _ = node_weights(9, 10, 3)
+    assert tuple(offs) == (-3, -2, -1, 0, 1)
 
 
 def test_node_assignment_fallbacks():
-    offs, wts, deg = node_weights(0, 1, 1)
-    assert deg and tuple(offs) == (0, 1) and tuple(wts) == (-1.0, 1.0)
-    offs, wts, deg = node_weights(1, 1, 1)
-    assert deg and tuple(offs) == (-1, 0) and tuple(wts) == (-1.0, 1.0)
+    offs, wts = node_weights(0, 1, 1)
+    assert tuple(offs) == (0, 1) and tuple(wts) == (-1.0, 1.0)
+    offs, wts = node_weights(1, 1, 1)
+    assert tuple(offs) == (-1, 0) and tuple(wts) == (-1.0, 1.0)
     # on a grid of n steps every off-centre node takes the plain difference on 0..n
-    offs, _, deg = node_weights(1, 3, 3)
-    assert deg and tuple(offs) == (-1, 0, 1, 2)
+    offs, _ = node_weights(1, 3, 3)
+    assert tuple(offs) == (-1, 0, 1, 2)
     with pytest.raises(ValueError):
         node_weights(0, 1, 2)
 
@@ -174,24 +174,23 @@ def test_node_assignment_fallbacks():
 def test_node_weights_windows_and_moments(n):
     """Every node j of every row m < 40: the window lies inside 0..m; the
     moments sum(c_l l^k) are n! [k = n] exactly for k <= n, and for k = n+1
-    too unless the node is degraded (the coefficients are integers over B, so
-    their Fractions are exact); a row has a degraded node exactly when
-    m == n; and the grid is refused exactly when m < n."""
+    too unless m == n, where every node takes the plain difference on n+1
+    offsets (the coefficients are integers over B, so their Fractions are
+    exact); and the grid is refused exactly when m < n."""
     for m in range(40):
         if m < n:
             for j in range(m + 1):
                 with pytest.raises(ValueError, match=rf"grid with {m + 1} nodes is too short for any order-{n} stencil"):
                     node_weights(j, m, n)
             continue
-        degraded = False
         for j in range(m + 1):
-            offs, coef, deg = node_weights(j, m, n)
+            offs, coef = node_weights(j, m, n)
             assert 0 <= j + offs[0] and j + offs[-1] <= m
             exact = [Fraction(c) for c in coef]
-            for k in range(n + 1 if deg else n + 2):
+            for k in range(n + 1 if m == n else n + 2):
                 assert sum(c * Fraction(int(o)) ** k for c, o in zip(exact, offs)) == (math.factorial(n) if k == n else 0)
-            degraded = degraded or deg
-        assert degraded == (m == n), m
+            if m == n:
+                assert len(offs) == n + 1, j
 
 
 def test_rejects_bad_order():
