@@ -28,11 +28,15 @@ and invalid-value warnings off: the first row whose norm or diagonal is
 then not finite (finite data whose products overflow) raises
 ``OverflowError`` naming it.
 
-Rows are dense.  A system takes exactly 8 sum_m (m+1) bytes of
-coefficients, the upper-triangle padding of its blocks (8 k(k-1)/2 bytes
-for a block of k rows) and the scratch (8 ``SCRATCH_ROWS`` (M+1) bytes);
-:func:`assemble_system` refuses one larger than physical memory.  A row
-kept after the others are dropped keeps its whole block alive.
+Rows are dense.  They serve :func:`assemble_system` and the ``assemble``
+and ``condition`` commands of the CLI, and the start block of
+:func:`~.solver.solve`, which solves the rows past it from each operator's
+kernel and boundary columns without building them.  A system takes exactly
+8 sum_m (m+1) bytes of coefficients, the upper-triangle padding of its
+blocks (8 k(k-1)/2 bytes for a block of k rows) and the scratch (8
+``SCRATCH_ROWS`` (M+1) bytes); :func:`assemble_system` refuses one larger
+than physical memory.  A row kept after the others are dropped keeps its
+whole block alive.
 """
 
 from __future__ import annotations

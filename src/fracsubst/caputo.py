@@ -145,12 +145,12 @@ class SubstitutionOperator:
 
     From row ``steady`` = 2 ceil(n/2) + 2n + 1 on, the left-edge stencils
     with the central taps that reach below column ``a`` = ceil(n/2) + n + 1,
-    and the right-edge stencils, touch disjoint columns.  Columns k >= a of
-    such a row then depend on m - k only and are a slice of row ``size``;
-    columns below a are a fixed block times the coefficients of nodes 0..J,
-    J = a - 1 + ceil(n/2).  :meth:`rows` returns any run of consecutive rows
-    as one new block, scattering those below ``steady`` node by node and the
-    rest this way.
+    and the right-edge stencils, touch disjoint columns.  Column k >= a of
+    such a row m is then :meth:`kernel` kappa[m - k], read off row ``size``;
+    columns below a are :meth:`boundary`, a fixed block times the
+    coefficients of nodes 0..J, J = a - 1 + ceil(n/2).  :meth:`rows` returns
+    any run of consecutive rows as one new block, scattering those below
+    ``steady`` node by node and reading the rest from these two.
     :meth:`quadrature` convolves ``weights`` with the trapezoid pairs of
     samples of f^(n).  :meth:`apply_rows` takes samples of f, stencils
     first: as every edge stencil is the same from row n + 1 on, those rows
@@ -182,9 +182,9 @@ class SubstitutionOperator:
         st = central(self.n)
         self._central = [(o, a) for o, a in zip(st.offsets, st.coefficients()) if a]
         n2 = (self.n + 1) // 2
-        self._a = n2 + self.n + 1
-        self.steady = self._a + n2 + self.n
-        self._tail: np.ndarray | None = None  # row `size` at scale 1 and zeros, built by the first steady row
+        self.a = n2 + self.n + 1
+        self.steady = self.a + n2 + self.n
+        self._kernel: np.ndarray | None = None  # row `size` at scale 1, reversed; built by the first steady row
         self._block: np.ndarray | None = None
 
     def rows(self, b0: int, scale: np.ndarray) -> np.ndarray:
@@ -193,13 +193,10 @@ class SubstitutionOperator:
         zeros right of the diagonal.
 
         Rows below ``steady`` are scattered node by node into their row of
-        the block.  In the others column k >= a of row m is tail[size - m + k],
-        tail being row ``size`` zero-padded to twice its length, so those
-        columns of all the rows are one Toeplitz view of it (negative row
-        stride) times the scales.  Their columns below a are the block times
-        [weights[m], pair[m-1], ..., pair[m-J+1]], one matrix-vector product
-        per row in a single batched matmul, which sums in the same order as a
-        lone product would.  No stencil function is called for them."""
+        the block.  In the others column k >= a is kappa[m - k], so those
+        columns of all the rows are one Toeplitz view of the kernel
+        (zero-padded on the left) times the scales, and the columns below a
+        are :meth:`boundary`.  No stencil function is called for them."""
         rows = scale.size
         b1 = b0 + rows
         if not (self.n <= b0 and b1 <= self.size + 1):
@@ -211,24 +208,46 @@ class SubstitutionOperator:
             self._scatter(b0 + i, scale[i], out[i])
         if k == rows:
             return out
-        if self._tail is None:
-            self._build_steady()
-        s0, a, size, jn = b0 + k, self._a, self.size, self._block.shape[1]
-        toeplitz = sliding_window_view(self._tail, b1 - a)[size - b1 + 1 + a : size - s0 + a + 1][::-1]
-        coef = np.empty((rows - k, jn))
-        coef[:, 0] = self.weights[s0:b1]
-        coef[:, 1:] = sliding_window_view(self._pair, jn - 1)[s0 - jn + 1 : b1 - jn + 1, ::-1]
-        left = np.matmul(self._block, coef[:, :, None])[:, :, 0]
-        left *= (scale[k:] / (2.0 * self._gamma))[:, None]
-        out[k:, :a] = left
+        s0, a = b0 + k, self.a
+        padded = np.zeros(2 * (b1 - a) - 1)  # kappa[j - (b1 - a - 1)] at j, zero left of kappa[0]
+        padded[b1 - a - 1 :] = self.kernel()[: b1 - a]
+        toeplitz = sliding_window_view(padded, b1 - a)[s0 - a :, ::-1]
+        out[k:, :a] = self.boundary(s0, scale[k:])
         np.multiply(toeplitz, scale[k:, None], out=out[k:, a:])
         return out
 
+    def kernel(self) -> np.ndarray:
+        """kappa[d], d = 0..size, read-only: column k >= a of every row m >=
+        ``steady`` at scale 1 is kappa[m - k], the Toeplitz part of the rule."""
+        if self._kernel is None:
+            self._build_steady()
+        return self._kernel
+
+    def boundary(self, m0: int, scale: np.ndarray) -> np.ndarray:
+        """``scale[i]`` times columns 0..a-1 of row m = m0 + i (steady <= m0,
+        m0 + len(scale) <= size + 1), a new (len(scale), a) array: the block
+        times [weights[m], pair[m-1], ..., pair[m-J+1]], one matrix-vector
+        product per row in a single batched matmul, which sums in the same
+        order as a lone product would."""
+        rows = scale.size
+        if not (self.steady <= m0 and m0 + rows <= self.size + 1):
+            raise ValueError(f"rows {m0}..{m0 + rows - 1} are not steady rows {self.steady}..{self.size}")
+        if self._block is None:
+            self._build_steady()
+        jn = self._block.shape[1]
+        coef = np.empty((rows, jn))
+        coef[:, 0] = self.weights[m0 : m0 + rows]
+        coef[:, 1:] = sliding_window_view(self._pair, jn - 1)[m0 - jn + 1 : m0 + rows - jn + 1, ::-1]
+        left = np.matmul(self._block, coef[:, :, None])[:, :, 0]
+        left *= (scale / (2.0 * self._gamma))[:, None]
+        return left
+
     def _build_steady(self) -> None:
-        """Row ``size`` by the scatter, zero-padded to twice its length, and the
-        block of columns below ``a``: the taps of nodes 0..J that reach below
-        a, all of them left-edge or central stencils in row ``steady``."""
-        n2, a = (self.n + 1) // 2, self._a
+        """The kernel, row ``size`` by the scatter read from its diagonal
+        leftwards, and the block of columns below ``a``: the taps of nodes
+        0..J that reach below a, all of them left-edge or central stencils
+        in row ``steady``."""
+        n2, a = (self.n + 1) // 2, self.a
         block = np.zeros((a, a + n2))
         for j in range(a + n2):
             offs, wts = node_weights(j, self.steady, self.n)
@@ -237,10 +256,10 @@ class SubstitutionOperator:
         block /= self.h**self.n
         block.flags.writeable = False
         self._block = block
-        tail = np.zeros(2 * (self.size + 1))
+        tail = np.zeros(self.size + 1)
         self._scatter(self.size, 1.0, tail)
         tail.flags.writeable = False
-        self._tail = tail
+        self._kernel = tail[::-1]
 
     def _scatter(self, m: int, scale: float, d: np.ndarray) -> None:
         """Add ``scale`` times row m into ``d[:m+1]`` node by node."""

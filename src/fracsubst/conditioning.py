@@ -17,7 +17,7 @@ import numpy as np
 
 from .assembly import AssembledRow
 
-__all__ = ["ConditioningReport", "check", "bound"]
+__all__ = ["ConditioningReport", "check", "build_report", "bound"]
 
 
 @dataclass(frozen=True)
@@ -26,10 +26,14 @@ class ConditioningReport:
 
     margin[i] = diag[i] - offdiag[i] with diag = |d_m + p_m| and offdiag =
     sum_{k<m} |d_k|, read from :attr:`AssembledRow.offdiag` (computed once
-    per row, when it is built); delta is the smallest margin and the report is
-    satisfied iff delta > 0.  ``alt_a`` and ``alt_b`` are the constants of
-    the alternative sufficient condition (relative margin and row scale);
-    whenever both are positive, delta >= alt_a * alt_b.
+    per row, when it is built).  Rows that :func:`~.solver.solve` takes past
+    its dense start block have no ``AssembledRow``: their offdiag is exact
+    for one term, and for several terms the triangle-inequality bound
+    sum_l |q_l(x_m)| sum_{k<m} |d^l_k|, never below the true norm, so a
+    satisfied report stays sound.  delta is the smallest margin and the
+    report is satisfied iff delta > 0.  ``alt_a`` and ``alt_b`` are the
+    constants of the alternative sufficient condition (relative margin and
+    row scale); whenever both are positive, delta >= alt_a * alt_b.
     """
 
     rows: np.ndarray      # row indices m
@@ -46,9 +50,15 @@ def check(rows: Sequence[AssembledRow]) -> ConditioningReport:
     """Evaluate the dominance condition over every row of ``rows``."""
     if not rows:
         raise ValueError("no rows to check")
-    ms = np.array([row.m for row in rows])
-    diag = np.array([abs(row.d[row.m] + row.p_m) for row in rows])
-    offdiag = np.array([row.offdiag for row in rows])
+    return build_report(
+        np.array([row.m for row in rows]),
+        np.array([abs(row.d[row.m] + row.p_m) for row in rows]),
+        np.array([row.offdiag for row in rows]),
+    )
+
+
+def build_report(ms: np.ndarray, diag: np.ndarray, offdiag: np.ndarray) -> ConditioningReport:
+    """The report of rows ``ms`` from their |d_m + p_m| and off-diagonal 1-norms (or bounds on them)."""
     margin = diag - offdiag
     scale = diag + offdiag
     with np.errstate(divide="ignore", invalid="ignore"):

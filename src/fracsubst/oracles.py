@@ -42,7 +42,8 @@ def caputo_power(alpha: float, beta: float, t: float) -> float:
 
     Returns 0 for integer beta below ceil(alpha) (polynomials killed by the
     inner classical derivative).  Raises for beta - alpha + 1 at a gamma
-    pole, where the rule is undefined.
+    pole, where the rule is undefined.  The Gamma ratio is taken directly,
+    or through lgamma where Gamma(beta + 1) alone would overflow.
     """
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be finite and positive, got {alpha!r}")
@@ -54,7 +55,11 @@ def caputo_power(alpha: float, beta: float, t: float) -> float:
     denom_arg = beta - alpha + 1.0
     if denom_arg <= 0 and denom_arg == int(denom_arg):
         raise ValueError(f"gamma pole at {denom_arg}: power rule undefined")
-    return math.gamma(beta + 1.0) / math.gamma(denom_arg) * t ** (beta - alpha)
+    try:
+        ratio = math.gamma(beta + 1.0) / math.gamma(denom_arg)
+    except OverflowError:  # Gamma(beta + 1) is past the float range for beta > 170.6, the ratio need not be
+        ratio = _gamma_ratio(beta, alpha)
+    return ratio * t ** (beta - alpha)
 
 
 def _recip_gamma(x: float) -> float:

@@ -1,11 +1,25 @@
-"""Forward-elimination solver for the assembled lower-triangular systems.
+"""Solver for the lower-triangular systems of :mod:`.assembly`.
 
 The first r grid values come from a truncated Taylor prefix built out of
 the initial conditions (y_1 = y_0 + h y'(0) for second-order problems);
-every later value follows from its own row in one division.  Each row is
-read in one pass, a dot product with the values before it; the pivot test
-uses the off-diagonal 1-norm the row computed when it was built.  Cost is
-O(M^2) at desk scale.
+every later value follows from its own row in one division.
+
+:func:`solve` takes the rows in two parts.  A start block, rows r..B-1 with
+B = r + ``BLOCK_ROWS`` grown by whole blocks until every term is past its
+``steady`` row, is assembled densely and eliminated row by row, each row a
+dot product with the values before it and a pivot test against the
+off-diagonal 1-norm it computed when it was built; a grid of M < B steps is
+this block alone.  From row B on, row m of term l is kappa_l[m - k] in
+columns k >= a_l (the operator's :meth:`~.caputo.SubstitutionOperator.kernel`)
+plus its :meth:`~.caputo.SubstitutionOperator.boundary` columns below a_l,
+so no dense row is built.  These rows are solved ``LEAF_ROWS`` at a time
+(a leaf) by forward substitution, and once j leaves are solved, the last w
+of them, w the largest power of two dividing j, add their history to the
+next w leaves through one convolution per term: the divide-and-conquer
+order of Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985)
+532-541, which costs O(M log^2 M) time and O(M) memory.  Their pivots,
+finiteness checks and dominance margins are computed for all of them at
+once, before any is solved.
 
 Accuracy is O(h^(n - alpha + 1)) for smooth solutions, set by the
 trapezoid sum in the substituted variable u = (t - x)^(n - alpha); the
@@ -24,8 +38,8 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import conditioning
-from .assembly import AssembledRow, FDEProblem, assemble_system
-from .caputo import Grid
+from .assembly import BLOCK_ROWS, AssembledRow, FDEProblem, _on_rows, assemble_system
+from .caputo import Grid, SubstitutionOperator
 
 __all__ = [
     "SolveResult",
@@ -41,15 +55,19 @@ __all__ = [
 
 # pivots below this fraction of the row 1-norm abort the elimination
 PIVOT_RTOL = 1e-13
+LEAF_ROWS = 64  # rows past the start block are solved this many at a time
+# histories of at most this many rows take np.convolve, longer ones the FFT: on a 2-vCPU
+# Xeon np.convolve took 14 us against the FFT's 42 us at 256 rows, and they tied at 512
+DIRECT_HISTORY = 256
 
 
 class SingularPivotError(ArithmeticError):
     """Row diagonal too small relative to the row to divide through."""
 
     def __init__(self, m: int, pivot: float):
-        super().__init__(f"near-singular pivot {pivot!r} at row {m}")
         self.row = m
-        self.pivot = pivot
+        self.pivot = float(pivot)
+        super().__init__(f"near-singular pivot {self.pivot!r} at row {m}")
 
 
 class NonFiniteSolutionError(ArithmeticError):
@@ -64,14 +82,23 @@ class NonFiniteSolutionError(ArithmeticError):
 class SolveResult:
     """Grid solution plus diagnostics.
 
-    ``report`` is the dominance check over the assembled rows, attached
+    ``report`` is the dominance check over every row r..M, attached
     whether or not it is satisfied; ``pivot_min`` is the smallest |d_m +
     p_m| met during elimination; ``degraded_rows`` is always ``(r,)``, r =
     ``problem.order``: the one row where every node of a term of order r
     takes the plain r-th difference.  ``stats`` is a read-only count of the
-    work done: ``rows`` assembled, ``coef_bytes`` of their coefficients,
-    ``madds`` (sum of m over the eliminated rows, one multiply-add per
-    off-diagonal coefficient) and ``rows_checked`` by the dominance check.
+    work done:
+
+    * ``rows``: the rows solved, r..M;
+    * ``coef_bytes``: the coefficient arrays held, O(M): the dense start
+      block's rows, and past it each term's kernel, boundary columns and
+      leaf block;
+    * ``madds``: the multiply-adds of the history sums.  A dense row m
+      takes m; past the start block each row and term takes a for its
+      boundary columns, each leaf of k rows k(k-1)/2 per term, a direct
+      convolution of L values into the next c rows L c, and an FFT one of
+      transform length N counts N log2 N;
+    * ``rows_checked``: the rows in ``report``.
     """
 
     grid: Grid
@@ -125,20 +152,137 @@ def eliminate(rows: Sequence[AssembledRow], prefix: Sequence[float]) -> tuple[np
 
 
 def solve(problem: FDEProblem, h: float, max_rows: int) -> SolveResult:
-    """Assemble and solve the problem on the grid 0, h, ..., max_rows*h."""
-    rows = assemble_system(problem, h, max_rows)
-    prefix = init_prefix(problem.initial_conditions, h)
-    y, pivot_min = eliminate(rows, prefix)
-    y.flags.writeable = False
+    """Solve the problem on the grid 0, h, ..., max_rows*h: the start block
+    by :func:`assemble_system`, :func:`eliminate` and
+    :func:`conditioning.check`, the rows past it as the module describes."""
+    r = problem.order
+    steady = max(SubstitutionOperator(term.alpha, h, 1).steady for term in problem.terms)  # set by the order alone
+    end = r + BLOCK_ROWS * max(1, -(-(steady - r) // BLOCK_ROWS))  # B: the start block is rows r..B-1
+    rows = assemble_system(problem, h, min(max_rows, end - 1))
+    tail = _Tail(problem, h, end, max_rows) if max_rows >= end else None
+    y, pivot_min = eliminate(rows, init_prefix(problem.initial_conditions, h))
     report = conditioning.check(rows)
-    degraded = tuple(row.m for row in rows if row.degraded)
-    stats = MappingProxyType({
+    stats = {
         "rows": len(rows),
         "coef_bytes": sum(row.d.nbytes for row in rows),
         "madds": sum(row.m for row in rows),
-        "rows_checked": int(report.rows.size),
-    })
-    return SolveResult(Grid.uniform_grid(h, max_rows), y, report, pivot_min, degraded, stats)
+    }
+    if tail is not None:
+        y = tail.solve(y)
+        pivot_min = min(pivot_min, float(np.min(tail.diag)))
+        report = conditioning.build_report(
+            np.concatenate((report.rows, tail.ms)),
+            np.concatenate((report.diag, tail.diag)),
+            np.concatenate((report.offdiag, tail.offdiag)),
+        )
+        stats["rows"] += tail.ms.size
+        stats["coef_bytes"] += tail.coef_bytes
+        stats["madds"] += tail.madds
+    y.flags.writeable = False
+    stats["rows_checked"] = int(report.rows.size)
+    degraded = tuple(row.m for row in rows if row.degraded)
+    return SolveResult(Grid.uniform_grid(h, max_rows), y, report, pivot_min, degraded, MappingProxyType(stats))
+
+
+class _Tail:
+    """Rows b..M of a problem, past its start block, kept as each term's
+    kernel, boundary columns and ``LEAF_ROWS``-square lower Toeplitz block.  Their
+    data, pivots and norms are evaluated when it is built, in the order and
+    with the errors of :func:`assemble_system`; :meth:`solve` then extends
+    the start block's solution with the checks of :func:`eliminate`."""
+
+    def __init__(self, problem: FDEProblem, h: float, b: int, max_rows: int):
+        ms = range(b, max_rows + 1)
+        self.ops = [SubstitutionOperator(term.alpha, h, max_rows) for term in problem.terms]
+        self.qs = [_on_rows(term.coefficient, ms, h) for term in problem.terms]
+        p, f = _on_rows(problem.p, ms, h), _on_rows(problem.f, ms, h)
+        self.ms = np.arange(b, max_rows + 1)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, by its row
+            self.left = [op.boundary(b, q) for op, q in zip(self.ops, self.qs)]
+            d = sum(q * op.kernel()[0] for op, q in zip(self.ops, self.qs))
+            # per term |q| times the boundary and prefix sums of |kappa|: exact for one term
+            self.offdiag = sum(
+                np.abs(left).sum(axis=1) + np.abs(q) * np.cumsum(np.abs(op.kernel()[1 : max_rows - op.a + 1]))[b - op.a - 1 :]
+                for op, q, left in zip(self.ops, self.qs, self.left)
+            )
+            self.pivot = d + p
+        finite = np.isfinite(self.offdiag) & np.isfinite(d)
+        bad = np.flatnonzero(~(finite & np.isfinite(p) & np.isfinite(f)))
+        if bad.size and not finite[bad[0]]:
+            raise OverflowError(f"coefficients of row {b + bad[0]} are not finite (assembly overflowed)")
+        if bad.size:
+            raise ValueError(f"non-finite coefficients, p or f in row {b + bad[0]}")
+        self.diag = np.abs(self.pivot)
+        self.singular = (self.diag == 0.0) | (self.diag < PIVOT_RTOL * (self.offdiag + np.abs(d)))
+        self.f = f
+        self.leaf = [_lower_toeplitz(op.kernel()[:LEAF_ROWS]) for op in self.ops]
+        self.coef_bytes = sum(op.kernel().nbytes + left.nbytes + t.nbytes for op, left, t in zip(self.ops, self.left, self.leaf))
+        self.madds = 0
+
+    def solve(self, y0: np.ndarray) -> np.ndarray:
+        """y_0..y_M from the start block's y_0..y_{b-1}.  Raises
+        :class:`SingularPivotError` for the first row whose pivot fails the
+        test of :func:`eliminate`, else :class:`NonFiniteSolutionError` for
+        the first value that is not finite."""
+        b, total = int(self.ms[0]), int(self.ms[-1]) + 1
+        bad = np.flatnonzero(self.singular)
+        if bad.size:
+            raise SingularPivotError(b + int(bad[0]), self.pivot[bad[0]])
+        y = np.empty(total)
+        y[:b] = y0
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, by its row
+            c = self.f.copy()  # f_m less the part of row m's sum known so far
+            for op, q, left in zip(self.ops, self.qs, self.left):
+                c -= left @ y[: op.a]
+                c -= q * self._history(y[op.a : b], op.kernel(), total - b)
+                self.madds += left.size
+            for j in range(-(-(total - b) // LEAF_ROWS)):
+                lo, hi = b + j * LEAF_ROWS, min(b + (j + 1) * LEAF_ROWS, total)
+                self._leaf(y, c, lo, hi)
+                if hi == total:
+                    break
+                # the last w leaves, w the largest power of two dividing j + 1, add their history to the next w
+                width = ((j + 1) & -(j + 1)) * LEAF_ROWS
+                at = slice(hi - b, min(hi + width, total) - b)
+                for op, q in zip(self.ops, self.qs):
+                    c[at] -= q[at] * self._history(y[hi - width : hi], op.kernel(), at.stop - at.start)
+        return y
+
+    def _leaf(self, y: np.ndarray, c: np.ndarray, lo: int, hi: int) -> None:
+        """Rows lo..hi-1 by forward substitution, each a dot product with the
+        values of the leaf before it."""
+        at, n = slice(lo - self.ms[0], hi - self.ms[0]), hi - lo
+        block = sum(q[at, None] * t[:n, :n] for q, t in zip(self.qs, self.leaf))
+        rhs, pivot, ys = c[at].tolist(), self.pivot[at].tolist(), y[lo:hi]
+        for i in range(n):
+            ys[i] = (rhs[i] - np.dot(block[i, :i], ys[:i])) / pivot[i]
+        self.madds += len(self.ops) * n * (n - 1) // 2
+        bad = np.flatnonzero(~np.isfinite(ys))
+        if bad.size:
+            raise NonFiniteSolutionError(lo + int(bad[0]))
+
+    def _history(self, x: np.ndarray, kernel: np.ndarray, count: int) -> np.ndarray:
+        """sum_j x_j kernel[L + i - j], i = 0..count-1, L = len(x): what the L
+        values x add to each of the count rows after them.  Up to
+        ``DIRECT_HISTORY`` values by np.convolve, more by the FFT, each
+        operand scaled by a power of two so that the transforms cannot
+        overflow where the direct sum would not."""
+        size = x.size
+        seg = kernel[1 : size + count]
+        if size <= DIRECT_HISTORY:
+            self.madds += size * count
+            return np.convolve(seg, x, "valid")
+        n = 1 << (seg.size - 1).bit_length()  # a circular convolution this long leaves the valid part intact
+        self.madds += n * (n.bit_length() - 1)
+        ex, ek = math.frexp(np.max(np.abs(x)))[1], math.frexp(np.max(np.abs(seg)))[1]
+        spectrum = np.fft.rfft(np.ldexp(seg, -ek), n) * np.fft.rfft(np.ldexp(x, -ex), n)
+        return np.ldexp(np.fft.irfft(spectrum, n)[size - 1 : size - 1 + count], ex + ek)
+
+
+def _lower_toeplitz(kernel: np.ndarray) -> np.ndarray:
+    """The strictly lower triangular matrix with kernel[i - j] at (i, j), i > j."""
+    i = np.subtract.outer(np.arange(kernel.size), np.arange(kernel.size))
+    return np.where(i > 0, kernel[np.maximum(i, 0)], 0.0)
 
 
 def calibrate(

@@ -310,13 +310,16 @@ NOT_FINITE_CALIBRATION = "error: calibration needs a finite epsilon, t* and u*"
          NOT_FINITE_CALIBRATION),
         ("solve", RELAX_CFG.replace("ic = 0, 0", "ic = inf, 0"), "y.csv", 1, "error: initial conditions must be finite"),
         ("solve", RELAX_CFG.replace("ic = 0, 0", "ic = nan, 0"), "y.csv", 1, "error: initial conditions must be finite"),
+        # q = x - 1 vanishes at row 128, past the dense start block
+        ("solve", 'term = 0.5, "x-1"\np = "0"\nf = "1"\nic = 0\nh = 0.0078125\nt_end = 2\n', "y.csv", 2,
+         "numerical failure: near-singular pivot 0.0 at row 128"),
         ("solve", RELAX_CFG, "missing/y.csv", 1, "error: [Errno 2] No such file or directory: "),
         ("solve", RELAX_CFG.replace("# relaxation", "# caf\xe9 relaxation"), "y.csv", 1,
          "error: 'utf-8' codec can't decode byte 0xe9 "),
     ],
     ids=["overflow", "overflow-condition", "overflow-assemble", "off-grid-reference", "nonzero-data",
          "overflowing-rescale", "infinite-u-star", "infinite-t-star", "infinite-epsilon", "infinite-ic", "nan-ic",
-         "unwritable-out", "non-utf8-config"],
+         "singular-pivot", "unwritable-out", "non-utf8-config"],
 )
 def test_failures_exit_by_exception_class_with_one_line(command, config, out_name, code, last_line, tmp_path, capsys):
     cfg = tmp_path / "case.cfg"
@@ -394,8 +397,19 @@ def test_deriv_sampled_on_a_grid_shorter_than_the_order_exits_one(tmp_path, caps
     assert not out.exists()
 
 
+def test_caputo_power_oracle_past_the_gamma_overflow(tmp_path):
+    # Gamma(401) overflows a float, Gamma(401) / Gamma(400.5) = 20.006 does not
+    out = tmp_path / "o.csv"
+    assert main(["oracle", "--name", "caputo-power", "--alpha", "0.5", "--beta", "400",
+                 "--h", "0.5", "--t-end", "1", "--out", str(out)]) == 0
+    t, value = out.read_text().splitlines()[-1].split(",")
+    assert float(t) == 1.0 and float(value) == pytest.approx(math.exp(math.lgamma(401) - math.lgamma(400.5)), rel=1e-12)
+    assert float(value) == pytest.approx(20.006, abs=1e-3)
+
+
 def test_system_too_large_for_memory_exits_two(capsys):
+    # `condition` reads the dense rows, which `solve` builds for its start block only
     fig1 = Path(__file__).resolve().parents[1] / "demos" / "fig1.cfg"
-    assert main(["solve", "--config", str(fig1), "--h", "1e-6"]) == 2
+    assert main(["condition", "--config", str(fig1), "--h", "1e-6"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("out of memory: ") and "M=5000000" in err and err.count("\n") == 1

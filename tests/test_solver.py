@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fracsubst.assembly import DerivativeTerm, FDEProblem, assemble_system
+from fracsubst.assembly import BLOCK_ROWS, DerivativeTerm, FDEProblem, assemble_system
 from fracsubst.expr import DomainError, parse
 from fracsubst.oracles import caputo_power, mittag_leffler, relaxation_solution
 from fracsubst.solver import (
@@ -102,9 +103,10 @@ def test_manufactured_quadratic_convergence():
 
 def test_refuses_a_dense_system_larger_than_memory():
     problem = FDEProblem((DerivativeTerm(1.5, ONE),), ONE, ONE, (0.0, 0.0))
-    # 8 bytes x sum_{m=2}^{M} (m+1) for M = 2^22, about 70 TB
+    # 8 bytes x sum_{m=2}^{M} (m+1) for M = 2^22, about 70 TB; `solve` builds dense rows
+    # for its start block only
     with pytest.raises(MemoryError, match="M=4194304 needs 70368794509296 bytes"):
-        solve(problem, 5 / 2**22, 2**22)
+        assemble_system(problem, 5 / 2**22, 2**22)
 
 
 def test_relaxation_solve_tracks_oracle():
@@ -208,12 +210,42 @@ def test_singular_pivot_detected():
     assert info.value.row == 1
 
 
+def test_singular_pivot_past_the_start_block():
+    # q = x - 1 vanishes at x = 1, row 128, which the recursion past the dense start block solves
+    problem = FDEProblem((DerivativeTerm(0.5, parse("x-1")),), ZERO, ONE, (0.0,))
+    with pytest.raises(SingularPivotError, match=r"^near-singular pivot 0\.0 at row 128$") as info:
+        solve(problem, 1.0 / 128, 256)
+    assert info.value.row == 128 and type(info.value.pivot) is float
+    assert "np.float64" not in str(info.value)
+
+
+def test_non_finite_data_past_the_start_block_is_a_domain_error():
+    problem = FDEProblem((DerivativeTerm(1.5, ONE),), ONE, parse("1/(x-3)"), (0.0, 0.0))
+    with pytest.raises(DomainError, match=r"is not finite at x=3\.0 "):
+        solve(problem, 1.0 / 32, 128)  # x = 3 is row 96; the start block is rows 2..65
+
+
 def test_overflowing_elimination_names_the_first_non_finite_row():
     # D^0.5 y - 20 y = 1 with zero data grows like exp(400 t): y overflows at t = 1.37
     problem = FDEProblem((DerivativeTerm(0.5, ONE),), parse("-20"), ONE, (0.0,))
     with pytest.raises(NonFiniteSolutionError, match=r"not finite from row 560 ") as info:
         solve(problem, 5.0 / 2048, 2048)
     assert info.value.row == 560 and isinstance(info.value, ArithmeticError)
+
+
+@pytest.mark.parametrize("f", ["1e305", "1e307"])
+def test_histories_near_the_float_limit_overflow_where_the_dense_elimination_does(f):
+    # y rises to 0.77 f: the FFT histories of 512 rows must not overflow before the direct sums do
+    problem = FDEProblem((DerivativeTerm(0.5, ONE),), ONE, parse(f), (0.0,))
+    h, m = 5.0 / 2048, 2048
+    try:
+        y = dense_solve(problem, h, m)[0]
+    except NonFiniteSolutionError as dense:
+        with pytest.raises(NonFiniteSolutionError) as info:
+            solve(problem, h, m)
+        assert info.value.row == dense.row == 994
+    else:
+        assert np.max(np.abs(solve(problem, h, m).y - y)) <= 1e-10 * np.max(np.abs(y))
 
 
 def test_overflowing_assembled_row_is_an_overflow_error_naming_the_row():
@@ -223,6 +255,11 @@ def test_overflowing_assembled_row_is_an_overflow_error_naming_the_row():
         with pytest.raises(OverflowError, match=r"^coefficients of row 2 are not finite "):
             build(problem, 2.0**-10, 2**10)
     assert len(assemble_system(problem, 2.0**-10, 1)) == 1  # row 1 is finite
+    # past the start block: q jumps to 1e307 at x = 1, row 1024, where 1e307 times the diagonal is inf
+    problem = FDEProblem((DerivativeTerm(0.5, lambda t: 1.0 if t < 1 else 1e307),), ONE, ONE, (0.0,))
+    for build in (solve, assemble_system):
+        with pytest.raises(OverflowError, match=r"^coefficients of row 1024 are not finite "):
+            build(problem, 2.0**-10, 2**11)
 
 
 def test_solution_respects_dominance_bound():
@@ -254,3 +291,74 @@ def test_plain_python_callables_are_evaluated_point_by_point():
     got, want = solve(problem, 0.0625, 80).y, solve(reference, 0.0625, 80).y
     assert seen == [m * 0.0625 for m in range(2, 81)] and all(type(t) is float for t in seen)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def dense_solve(problem, h, m):
+    return eliminate(assemble_system(problem, h, m), init_prefix(problem.initial_conditions, h))
+
+
+def agreement_problems():
+    two_term_f = lambda t: caputo_power(0.5, 3, t) + caputo_power(1.5, 3, t) if t > 0 else 0.0  # noqa: E731
+    bessel = homogeneous_bessel()
+    return {
+        "0.5": FDEProblem((DerivativeTerm(0.5, ONE),), ONE, ONE, (0.0,)),
+        "1.5": FDEProblem((DerivativeTerm(1.5, ONE),), ONE, ONE, (0.0, 0.0)),
+        "0.5-sin": FDEProblem((DerivativeTerm(0.5, parse("2 + sin(x)")),), ONE, ONE, (0.0,)),
+        "1.5-sin": FDEProblem((DerivativeTerm(1.5, parse("2 + sin(x)")),), ONE, ONE, (0.0, 0.0)),
+        # acceptance criterion 8's manufactured two-term equation, y = t^3
+        "two-term": FDEProblem((DerivativeTerm(0.5, ONE), DerivativeTerm(1.5, ONE)), ZERO, two_term_f, (0.0, 0.0)),
+        "bessel": FDEProblem(bessel.terms, bessel.p, ONE, (0.0, 1.0)),
+    }
+
+
+@pytest.mark.parametrize("name", list(agreement_problems()))
+def test_solve_matches_the_dense_elimination(name):
+    # the start block is rows r..B-1, B = r + 64, for every order n <= 2
+    problem = agreement_problems()[name]
+    start = problem.order + BLOCK_ROWS
+    for m in (start - 1, start, start + 1, 200, 2**11):
+        h = 5.0 / m
+        y, pivot_min = dense_solve(problem, h, m)
+        result = solve(problem, h, m)
+        assert np.max(np.abs(result.y - y)) <= 1e-10 * np.max(np.abs(y)), m
+        assert result.pivot_min == pivot_min, m
+        if m < start:
+            assert np.array_equal(result.y, y), m
+        # the norms past the start block: exact for one term, a bound for several
+        dense = [row.offdiag for row in assemble_system(problem, h, m)] if m <= 200 else []
+        for got, want in zip(result.report.offdiag, dense):
+            if len(problem.terms) == 1:
+                assert got == pytest.approx(want, rel=1e-12)
+            else:
+                assert got >= want * (1 - 1e-12)
+
+
+@pytest.mark.parametrize("alpha", [2.5, 3.5])
+def test_solve_above_order_two_is_as_close_to_the_oracle_as_the_dense_elimination(alpha):
+    # for n >= 3 the two summation orders round apart by more than 1e-10, equally far from y
+    problem = FDEProblem((DerivativeTerm(alpha, ONE),), ONE, ONE, (0.0,) * math.ceil(alpha))
+    m = 2**11
+    ts = np.arange(m + 1) / m
+    exact = np.array([t**alpha * mittag_leffler(alpha, alpha + 1.0, -(t**alpha)) for t in ts])
+    dense = np.max(np.abs(dense_solve(problem, 1.0 / m, m)[0] - exact))
+    got = np.max(np.abs(solve(problem, 1.0 / m, m).y - exact))
+    assert abs(got - dense) <= 0.05 * dense, (got, dense)
+
+
+@pytest.mark.parametrize("name", ["relaxation", "bessel"])
+def test_solve_memory_grows_linearly(name):
+    # the dense rows of M = 2^16 would take 8 (M + 1)(M + 2) / 2 bytes, about 256 KiB per row
+    if name == "relaxation":
+        problem = FDEProblem((DerivativeTerm(1.5, ONE),), ONE, ONE, (0.0, 0.0))
+    else:
+        bessel = homogeneous_bessel()
+        problem = FDEProblem(bessel.terms, bessel.p, ONE, (0.0, 1.0))
+    m = 2**16
+    solve(problem, 5.0 / 256, 256)  # stencil caches and imports, outside the count
+    tracemalloc.start()
+    try:
+        result = solve(problem, 5.0 / m, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(result.y)) and peak < 1024 * m, peak / m
