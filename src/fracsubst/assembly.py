@@ -21,22 +21,23 @@ the first term's array becomes the system block, each later term's is added
 into it in term order, and row m's ``d`` is the read-only view
 ``block[i, :m+1]``.  Row r alone is degraded: every node of a term of
 order r takes the plain r-th difference there, and the row n of a term of
-lower order n lies in the initial-condition prefix.  The off-diagonal
-1-norms take one pass per block through a scratch of ``SCRATCH_ROWS``
-rows, reused for the whole system.  A block is built with numpy's overflow
-and invalid-value warnings off: the first row whose norm or diagonal is
-then not finite (finite data whose products overflow) raises
-``OverflowError`` naming it.
+lower order n lies in the initial-condition prefix.  A block's off-diagonal
+1-norms are the row sums of |block| with its diagonal zeroed.  A block is
+built with numpy's overflow and invalid-value warnings off, and then its
+rows are checked: the first row with a value that is not finite among its
+data (each q_l, p and f), its norm and its diagonal raises ``ValueError``
+if its data is not finite, else ``OverflowError`` (finite data whose
+products overflow), naming the row.
 
 Rows are dense.  They serve :func:`assemble_system` and the ``assemble``
 and ``condition`` commands of the CLI, and the start block of
 :func:`~.solver.solve`, which solves the rows past it from each operator's
 kernel and boundary columns without building them.  A system takes exactly
 8 sum_m (m+1) bytes of coefficients, the upper-triangle padding of its
-blocks (8 k(k-1)/2 bytes for a block of k rows) and the scratch (8
-``SCRATCH_ROWS`` (M+1) bytes); :func:`assemble_system` refuses one larger
-than physical memory.  A row kept after the others are dropped keeps its
-whole block alive.
+blocks (8 k(k-1)/2 bytes for a block of k rows) and the |block| temporary
+of the norms (8 ``BLOCK_ROWS`` (M+1) bytes); :func:`assemble_system`
+refuses one larger than physical memory.  A row kept after the others are
+dropped keeps its whole block alive.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from .caputo import FracOrder, SubstitutionOperator
 from .expr import Expression
 
 BLOCK_ROWS = 64  # rows are built this many at a time
-SCRATCH_ROWS = 8  # the norms of a block's rows go through this many rows at a time
 
 __all__ = [
     "DerivativeTerm",
@@ -152,26 +152,23 @@ def _on_rows(fn: Callable[[float], float], ms: range, h: float) -> np.ndarray:
     return np.array([float(fn(m * h)) for m in ms])
 
 
-def _offdiag(block: np.ndarray, b0: int, scratch: np.ndarray) -> np.ndarray:
-    """sum_{k<m} |d_k| of each row m = b0 + i of ``block``, through a few
-    rows of |d| at a time in the flat ``scratch`` with the diagonal zeroed."""
-    rows, width = block.shape
-    offdiag = np.empty(rows)
-    step = scratch.size // width
-    for c in range(0, rows, step):
-        r = min(step, rows - c)
-        np.abs(block[c : c + r], out=scratch[: r * width].reshape(r, width))
-        scratch[b0 + c : r * width : width + 1] = 0.0  # entries (i, b0 + c + i)
-        scratch[: r * width].reshape(r, width).sum(axis=1, out=offdiag[c : c + r])
-    return offdiag
+def _check_rows(m0: int, offdiag: np.ndarray, diag: np.ndarray, data: list[np.ndarray]) -> None:
+    """Raise for the first row m = m0 + i with a value that is not finite
+    among its ``data`` (each q_l, p and f), ``offdiag[i]`` and ``diag[i]``:
+    ``ValueError`` if its data is the fault, else ``OverflowError``."""
+    bad_data = ~np.all(np.isfinite(data), axis=0)
+    bad = np.flatnonzero(bad_data | ~(np.isfinite(offdiag) & np.isfinite(diag)))
+    if bad.size and bad_data[bad[0]]:
+        raise ValueError(f"q, p or f is not finite in row {m0 + bad[0]}")
+    if bad.size:
+        raise OverflowError(f"coefficients of row {m0 + bad[0]} are not finite (assembly overflowed)")
 
 
 def _assemble(problem: FDEProblem, h: float, ms: range) -> list[AssembledRow]:
     ops = [SubstitutionOperator(term.alpha, h, ms[-1]) for term in problem.terms]
     qs = [_on_rows(term.coefficient, ms, h) for term in problem.terms]
-    p, f = _on_rows(problem.p, ms, h).tolist(), _on_rows(problem.f, ms, h).tolist()
+    p, f = _on_rows(problem.p, ms, h), _on_rows(problem.f, ms, h)
     rows = []
-    scratch = np.empty(SCRATCH_ROWS * ms.stop)
     for b0 in range(ms.start, ms.stop, BLOCK_ROWS):
         b1 = min(b0 + BLOCK_ROWS, ms.stop)
         at = slice(b0 - ms.start, b1 - ms.start)
@@ -179,14 +176,13 @@ def _assemble(problem: FDEProblem, h: float, ms: range) -> list[AssembledRow]:
             block = ops[0].rows(b0, qs[0][at])
             for q, op in zip(qs[1:], ops[1:]):
                 block += op.rows(b0, q[at])
-            offdiag = _offdiag(block, b0, scratch)
-        bad = np.flatnonzero(~(np.isfinite(offdiag) & np.isfinite(np.diagonal(block, b0))))
-        if bad.size:
-            raise OverflowError(f"coefficients of row {b0 + bad[0]} are not finite (assembly overflowed)")
+            norms = np.abs(block)
+            np.fill_diagonal(norms[:, b0:], 0.0)
+            offdiag = norms.sum(axis=1)
+        _check_rows(b0, offdiag, np.diagonal(block, b0), [q[at] for q in qs] + [p[at], f[at]])
         block.flags.writeable = False
-        for i, (m, norm) in enumerate(zip(range(b0, b1), offdiag.tolist())):
-            j = i + at.start
-            rows.append(AssembledRow(m, block[i, : m + 1], p[j], f[j], m == problem.order, norm))
+        for i, (m, norm, p_m, f_m) in enumerate(zip(range(b0, b1), offdiag.tolist(), p[at].tolist(), f[at].tolist())):
+            rows.append(AssembledRow(m, block[i, : m + 1], p_m, f_m, m == problem.order, norm))
     return rows
 
 
@@ -202,14 +198,14 @@ def assemble_system(problem: FDEProblem, h: float, max_rows: int) -> list[Assemb
     if max_rows < r:
         raise ValueError(f"need at least {r} rows for an order-{r} problem")
     need = 8 * ((max_rows + 1) * (max_rows + 2) - r * (r + 1)) // 2  # 8 bytes x sum of m+1 over m = r..max_rows
-    # the upper-triangle padding of the blocks, which start at row r, and the scratch
+    # the upper-triangle padding of the blocks, which start at row r, and the |block| of the norms
     full, last = divmod(max_rows + 1 - r, BLOCK_ROWS)
     padding = 8 * (full * BLOCK_ROWS * (BLOCK_ROWS - 1) + last * (last - 1)) // 2
-    extra = padding + 8 * SCRATCH_ROWS * (max_rows + 1)
+    extra = padding + 8 * BLOCK_ROWS * (max_rows + 1)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need + extra > have:
         raise MemoryError(
             f"the dense system for M={max_rows} needs {need} bytes of row coefficients "
-            f"and {extra} bytes of block padding and scratch, more than the {have} bytes of physical memory"
+            f"and {extra} bytes of block padding and norm temporary, more than the {have} bytes of physical memory"
         )
     return _assemble(problem, h, range(r, max_rows + 1))

@@ -162,7 +162,10 @@ class SeriesSolution:
         if np.any(positive):
             exponents = self.gamma + self.s * np.arange(self.coeffs.size)
             logx = np.log(xs[positive])[:, None]
-            out[positive] = np.exp(logx * exponents[None, :]) @ self.coeffs
+            # 256 nodes at a time: the nodes x terms matrix of powers stays a few MB
+            out[positive] = np.concatenate(
+                [np.exp(logx[i : i + 256] * exponents) @ self.coeffs for i in range(0, logx.shape[0], 256)]
+            )
         return float(out[0]) if scalar else out
 
 

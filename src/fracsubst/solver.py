@@ -12,14 +12,15 @@ off-diagonal 1-norm it computed when it was built; a grid of M < B steps is
 this block alone.  From row B on, row m of term l is kappa_l[m - k] in
 columns k >= a_l (the operator's :meth:`~.caputo.SubstitutionOperator.kernel`)
 plus its :meth:`~.caputo.SubstitutionOperator.boundary` columns below a_l,
-so no dense row is built.  These rows are solved ``LEAF_ROWS`` at a time
+so no dense row is built.  These rows are solved ``BLOCK_ROWS`` at a time
 (a leaf) by forward substitution, and once j leaves are solved, the last w
 of them, w the largest power of two dividing j, add their history to the
 next w leaves through one convolution per term: the divide-and-conquer
 order of Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985)
-532-541, which costs O(M log^2 M) time and O(M) memory.  Their pivots,
-finiteness checks and dominance margins are computed for all of them at
-once, before any is solved.
+532-541, which costs O(M log^2 M) time and O(M) memory.  Their pivots and
+dominance margins are computed for all of them at once, before any is
+solved, and their rows are checked by the row check of
+:func:`assemble_system`.
 
 Accuracy is O(h^(n - alpha + 1)) for smooth solutions, set by the
 trapezoid sum in the substituted variable u = (t - x)^(n - alpha); the
@@ -38,7 +39,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import conditioning
-from .assembly import BLOCK_ROWS, AssembledRow, FDEProblem, _on_rows, assemble_system
+from .assembly import BLOCK_ROWS, AssembledRow, FDEProblem, _check_rows, _on_rows, assemble_system
 from .caputo import Grid, SubstitutionOperator
 
 __all__ = [
@@ -55,7 +56,6 @@ __all__ = [
 
 # pivots below this fraction of the row 1-norm abort the elimination
 PIVOT_RTOL = 1e-13
-LEAF_ROWS = 64  # rows past the start block are solved this many at a time
 # histories of at most this many rows take np.convolve, longer ones the FFT: on a 2-vCPU
 # Xeon np.convolve took 14 us against the FFT's 42 us at 256 rows, and they tied at 512
 DIRECT_HISTORY = 256
@@ -83,13 +83,13 @@ class SolveResult:
     """Grid solution plus diagnostics.
 
     ``report`` is the dominance check over every row r..M, attached
-    whether or not it is satisfied; ``pivot_min`` is the smallest |d_m +
-    p_m| met during elimination; ``degraded_rows`` is always ``(r,)``, r =
+    whether or not it is satisfied; ``pivot_min`` is min(``report.diag``),
+    the smallest pivot |d_m + p_m|; ``degraded_rows`` is always ``(r,)``, r =
     ``problem.order``: the one row where every node of a term of order r
     takes the plain r-th difference.  ``stats`` is a read-only count of the
     work done:
 
-    * ``rows``: the rows solved, r..M;
+    * ``rows``: the rows solved, r..M, as many as ``rows_checked``;
     * ``coef_bytes``: the coefficient arrays held, O(M): the dense start
       block's rows, and past it each term's kernel, boundary columns and
       leaf block;
@@ -160,36 +160,31 @@ def solve(problem: FDEProblem, h: float, max_rows: int) -> SolveResult:
     end = r + BLOCK_ROWS * max(1, -(-(steady - r) // BLOCK_ROWS))  # B: the start block is rows r..B-1
     rows = assemble_system(problem, h, min(max_rows, end - 1))
     tail = _Tail(problem, h, end, max_rows) if max_rows >= end else None
-    y, pivot_min = eliminate(rows, init_prefix(problem.initial_conditions, h))
+    y = eliminate(rows, init_prefix(problem.initial_conditions, h))[0]
     report = conditioning.check(rows)
-    stats = {
-        "rows": len(rows),
-        "coef_bytes": sum(row.d.nbytes for row in rows),
-        "madds": sum(row.m for row in rows),
-    }
+    coef_bytes, madds = sum(row.d.nbytes for row in rows), sum(row.m for row in rows)
     if tail is not None:
         y = tail.solve(y)
-        pivot_min = min(pivot_min, float(np.min(tail.diag)))
         report = conditioning.build_report(
             np.concatenate((report.rows, tail.ms)),
             np.concatenate((report.diag, tail.diag)),
             np.concatenate((report.offdiag, tail.offdiag)),
         )
-        stats["rows"] += tail.ms.size
-        stats["coef_bytes"] += tail.coef_bytes
-        stats["madds"] += tail.madds
+        coef_bytes, madds = coef_bytes + tail.coef_bytes, madds + tail.madds
     y.flags.writeable = False
-    stats["rows_checked"] = int(report.rows.size)
-    degraded = tuple(row.m for row in rows if row.degraded)
-    return SolveResult(Grid.uniform_grid(h, max_rows), y, report, pivot_min, degraded, MappingProxyType(stats))
+    checked = int(report.rows.size)
+    stats = MappingProxyType({"rows": checked, "coef_bytes": coef_bytes, "madds": madds, "rows_checked": checked})
+    pivot_min = float(np.min(report.diag))
+    return SolveResult(Grid.uniform_grid(h, max_rows), y, report, pivot_min, (problem.order,), stats)
 
 
 class _Tail:
     """Rows b..M of a problem, past its start block, kept as each term's
-    kernel, boundary columns and ``LEAF_ROWS``-square lower Toeplitz block.  Their
-    data, pivots and norms are evaluated when it is built, in the order and
-    with the errors of :func:`assemble_system`; :meth:`solve` then extends
-    the start block's solution with the checks of :func:`eliminate`."""
+    kernel, boundary columns and ``BLOCK_ROWS``-square lower Toeplitz block
+    (a leaf).  Their data, pivots and norms are evaluated when it is built,
+    in the order of :func:`assemble_system`, and raise through its row
+    check; :meth:`solve` then extends the start block's solution with the
+    checks of :func:`eliminate`."""
 
     def __init__(self, problem: FDEProblem, h: float, b: int, max_rows: int):
         ms = range(b, max_rows + 1)
@@ -206,16 +201,11 @@ class _Tail:
                 for op, q, left in zip(self.ops, self.qs, self.left)
             )
             self.pivot = d + p
-        finite = np.isfinite(self.offdiag) & np.isfinite(d)
-        bad = np.flatnonzero(~(finite & np.isfinite(p) & np.isfinite(f)))
-        if bad.size and not finite[bad[0]]:
-            raise OverflowError(f"coefficients of row {b + bad[0]} are not finite (assembly overflowed)")
-        if bad.size:
-            raise ValueError(f"non-finite coefficients, p or f in row {b + bad[0]}")
+        _check_rows(b, self.offdiag, d, [*self.qs, p, f])
         self.diag = np.abs(self.pivot)
         self.singular = (self.diag == 0.0) | (self.diag < PIVOT_RTOL * (self.offdiag + np.abs(d)))
         self.f = f
-        self.leaf = [_lower_toeplitz(op.kernel()[:LEAF_ROWS]) for op in self.ops]
+        self.leaf = [_lower_toeplitz(op.kernel()[:BLOCK_ROWS]) for op in self.ops]
         self.coef_bytes = sum(op.kernel().nbytes + left.nbytes + t.nbytes for op, left, t in zip(self.ops, self.left, self.leaf))
         self.madds = 0
 
@@ -236,13 +226,13 @@ class _Tail:
                 c -= left @ y[: op.a]
                 c -= q * self._history(y[op.a : b], op.kernel(), total - b)
                 self.madds += left.size
-            for j in range(-(-(total - b) // LEAF_ROWS)):
-                lo, hi = b + j * LEAF_ROWS, min(b + (j + 1) * LEAF_ROWS, total)
+            for j in range(-(-(total - b) // BLOCK_ROWS)):
+                lo, hi = b + j * BLOCK_ROWS, min(b + (j + 1) * BLOCK_ROWS, total)
                 self._leaf(y, c, lo, hi)
                 if hi == total:
                     break
                 # the last w leaves, w the largest power of two dividing j + 1, add their history to the next w
-                width = ((j + 1) & -(j + 1)) * LEAF_ROWS
+                width = ((j + 1) & -(j + 1)) * BLOCK_ROWS
                 at = slice(hi - b, min(hi + width, total) - b)
                 for op, q in zip(self.ops, self.qs):
                     c[at] -= q[at] * self._history(y[hi - width : hi], op.kernel(), at.stop - at.start)

@@ -266,7 +266,7 @@ def test_memory_estimate_covers_the_blocks(monkeypatch):
         assemble_system(problem, 0.01, m)
     need, extra = map(int, re.search(r"needs (\d+) bytes of row coefficients and (\d+) bytes", str(info.value)).groups())
     assert need == 8 * sum(k + 1 for k in range(2, m + 1))
-    assert need + extra == sum(owners.values()) + 8 * assembly.SCRATCH_ROWS * (m + 1)
+    assert need + extra == sum(owners.values()) + 8 * assembly.BLOCK_ROWS * (m + 1)  # and the |block| of the norms
     assert len(owners) < m // 8  # rows share blocks
 
 

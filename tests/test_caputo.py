@@ -391,3 +391,12 @@ def test_block_straddling_steady_equals_the_stacked_rows(alpha):
     for bad_b0, rows in ((op.n - 1, b1 - b0), (op.size, 2)):
         with pytest.raises(ValueError):
             op.rows(bad_b0, np.ones(rows))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5, 2.5])
+def test_boundary_columns_take_steady_rows_only(alpha):
+    op = SubstitutionOperator(alpha, 0.05, 40)
+    assert op.boundary(op.steady, np.ones(op.size - op.steady + 1)).shape == (op.size - op.steady + 1, op.a)
+    for m0, rows in ((op.steady - 1, 1), (op.steady, op.size - op.steady + 2), (op.size, 2)):
+        with pytest.raises(ValueError, match=rf"rows {m0}\.\.{m0 + rows - 1} are not steady rows {op.steady}\.\.40$"):
+            op.boundary(m0, np.ones(rows))

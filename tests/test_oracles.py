@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,6 +136,21 @@ def test_bessel_series_normalization_and_radius():
     # inside the trusted radius the two truncations agree
     x = 0.9 * sol.radius_hint
     assert sol(x) == pytest.approx(wide(x), abs=1e-6)
+
+
+def test_bessel_series_evaluates_a_fine_grid_in_small_chunks():
+    sol = bessel_series(2.0, 1500)
+    xs = np.linspace(0.0, 5.0, 4097)
+    exponents = sol.gamma + sol.s * np.arange(sol.coeffs.size)
+    want = np.exp(np.log(xs[1:])[:, None] * exponents) @ sol.coeffs  # the whole 4096 x 1501 matrix at once
+    tracemalloc.start()
+    try:
+        got = sol(xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got[0] == 0.0 and np.array_equal(got[1:], want)
+    assert peak < 16 * 2**20  # the one-shot matrix alone is 49 MB
 
 
 def test_bessel_series_residual_shrinks_with_terms():

@@ -262,6 +262,30 @@ def test_overflowing_assembled_row_is_an_overflow_error_naming_the_row():
             build(problem, 2.0**-10, 2**11)
 
 
+@pytest.mark.parametrize("row, big", [(5, 10), (80, 90)])  # in the start block, rows 1..64, and past it
+def test_non_finite_data_is_a_value_error_before_a_later_overflow(row, big):
+    # p is NaN at row `row`, and from row `big` on q = 1e308, whose products overflow
+    problem = FDEProblem(
+        (DerivativeTerm(0.5, lambda t: 1e308 if t >= big / 32 else 1.0),),
+        lambda t: math.nan if t == row / 32 else 1.0,
+        lambda t: 1.0,
+        (0.0,),
+    )
+    for build in (solve, assemble_system):
+        with pytest.raises(ValueError, match=rf"^q, p or f is not finite in row {row}$"):
+            build(problem, 1 / 32, 128)
+
+
+@pytest.mark.parametrize("row", [10, 100])
+def test_a_non_finite_coefficient_is_a_value_error_naming_its_row(row):
+    problem = FDEProblem(
+        (DerivativeTerm(0.5, lambda t: math.nan if t == row / 32 else 1.0),), lambda t: 1.0, lambda t: 1.0, (0.0,)
+    )
+    for build in (solve, assemble_system):
+        with pytest.raises(ValueError, match=rf"^q, p or f is not finite in row {row}$"):
+            build(problem, 1 / 32, 128)
+
+
 def test_solution_respects_dominance_bound():
     problem = FDEProblem((DerivativeTerm(0.5, ONE),), parse("100"), parse("3*sin(7*x)"), (0.2,))
     result = solve(problem, 0.05, 40)
