@@ -121,15 +121,18 @@ def caputo_substitution(
 
     ``dnf`` must be evaluable on [0, t].  Error is O(h_max**(n - alpha + 1))
     for smooth f.  The products are accumulated with exact (compensated)
-    summation, taken from the singular end k = m down to k = 1.
+    summation, taken from the singular end k = m down to k = 1; a value
+    that is not finite raises ``OverflowError``.
     """
     order = _as_order(order)
     grid = _as_grid(grid)
     n, alpha = order.n, order.alpha
     w = substitution_weights(grid.nodes, n - alpha)
     g = np.array([dnf(x) for x in grid.nodes], dtype=float)
-    pairs = 0.5 * (g[:-1] + g[1:]) * w
-    return math.fsum(pairs[::-1]) / math.gamma(n + 1 - alpha)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        pairs = (0.5 * g[:-1] + 0.5 * g[1:]) * w  # halved first, so that finite values near the largest float add
+    value = math.fsum(pairs[::-1]) / math.gamma(n + 1 - alpha) if np.all(np.isfinite(pairs)) else math.nan
+    return float(_finite_rows(np.array([value]), grid.m, "the n-th derivative")[0])
 
 
 class SubstitutionOperator:
@@ -209,11 +212,8 @@ class SubstitutionOperator:
         if k == rows:
             return out
         s0, a = b0 + k, self.a
-        padded = np.zeros(2 * (b1 - a) - 1)  # kappa[j - (b1 - a - 1)] at j, zero left of kappa[0]
-        padded[b1 - a - 1 :] = self.kernel()[: b1 - a]
-        toeplitz = sliding_window_view(padded, b1 - a)[s0 - a :, ::-1]
         out[k:, :a] = self.boundary(s0, scale[k:])
-        np.multiply(toeplitz, scale[k:, None], out=out[k:, a:])
+        np.multiply(_lower_toeplitz(self.kernel(), b1 - a)[s0 - a :], scale[k:, None], out=out[k:, a:])
         return out
 
     def kernel(self) -> np.ndarray:
@@ -333,6 +333,11 @@ class SubstitutionOperator:
         return _finite_rows(values, 1, "the n-th derivative")
 
 
+def _lower_toeplitz(kernel: np.ndarray, size: int) -> np.ndarray:
+    """kernel[i - j] at (i, j) for i >= j, else 0: a (size, size) read-only view, last axis reversed."""
+    return sliding_window_view(np.concatenate((np.zeros(size - 1), kernel[:size])), size)[:, ::-1]
+
+
 def _finite_rows(values: np.ndarray, first: int, source: str) -> np.ndarray:
     """``values`` of rows first, first+1, ...; raises ``OverflowError`` naming
     the first row whose value is not finite."""
@@ -373,9 +378,11 @@ def riemann_liouville(
         sum_{j=0}^{n-1} f^(j)(0) * t**(j-alpha) / Gamma(j+1-alpha),
 
     which vanishes for zero initial data.  ``f0_derivs`` supplies
-    f(0), f'(0), ..., f^(n-1)(0).
+    f(0), f'(0), ..., f^(n-1)(0).  Every argument must be finite.
     """
     order = _as_order(order)
+    if not all(math.isfinite(v) for v in (*f0_derivs, caputo_value, t)):
+        raise ValueError(f"need a finite f0_derivs, caputo_value and t, got {f0_derivs!r}, {caputo_value!r}, {t!r}")
     if t <= 0:
         raise ValueError("evaluation point t must be positive")
     n, alpha = order.n, order.alpha

@@ -18,9 +18,10 @@ of them, w the largest power of two dividing j, add their history to the
 next w leaves through one convolution per term: the divide-and-conquer
 order of Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985)
 532-541, which costs O(M log^2 M) time and O(M) memory.  Their pivots and
-dominance margins are computed for all of them at once, before any is
-solved, and their rows are checked by the row check of
-:func:`assemble_system`.
+dominance margins are computed for all of them at once, and their rows are
+checked by the row check of :func:`assemble_system`, before any is solved.
+Both parts raise for the first failing row, as :func:`eliminate` over the
+whole system would, and solve no row after it.
 
 Accuracy is O(h^(n - alpha + 1)) for smooth solutions, set by the
 trapezoid sum in the substituted variable u = (t - x)^(n - alpha); the
@@ -40,7 +41,7 @@ import numpy as np
 
 from . import conditioning
 from .assembly import BLOCK_ROWS, AssembledRow, FDEProblem, _check_rows, _on_rows, assemble_system
-from .caputo import Grid, SubstitutionOperator
+from .caputo import Grid, SubstitutionOperator, _lower_toeplitz
 
 __all__ = [
     "SolveResult",
@@ -71,7 +72,7 @@ class SingularPivotError(ArithmeticError):
 
 
 class NonFiniteSolutionError(ArithmeticError):
-    """Elimination overflowed: the solution is not finite from ``row`` on."""
+    """Elimination overflowed: ``row`` is the first failing row, its pivot passed, its value is not finite."""
 
     def __init__(self, m: int):
         super().__init__(f"solution is not finite from row {m} on (elimination overflowed)")
@@ -125,9 +126,10 @@ def eliminate(rows: Sequence[AssembledRow], prefix: Sequence[float]) -> tuple[np
     """Sequential forward elimination given the fixed prefix values.
 
     Rows must be consecutive starting at m = len(prefix).  Returns the full
-    solution vector and the smallest pivot magnitude; raises
-    :class:`NonFiniteSolutionError` naming the first row whose value is not
-    finite, which only an overflow in the elimination can produce.
+    solution vector and the smallest pivot magnitude.  Raises for the first
+    failing row as it is reached: :class:`SingularPivotError` if its pivot
+    fails the test below, else :class:`NonFiniteSolutionError` if its value
+    is not finite, which only an overflow in the elimination can produce.
     """
     r = len(prefix)
     total = r + len(rows)
@@ -145,9 +147,8 @@ def eliminate(rows: Sequence[AssembledRow], prefix: Sequence[float]) -> tuple[np
                 raise SingularPivotError(m, pivot)
             pivot_min = min(pivot_min, apiv)
             y[m] = (row.rhs - row.d[:m] @ y[:m]) / pivot
-    bad = np.flatnonzero(~np.isfinite(y))
-    if bad.size:
-        raise NonFiniteSolutionError(int(bad[0]))
+            if not math.isfinite(y[m]):
+                raise NonFiniteSolutionError(m)
     return y, pivot_min
 
 
@@ -181,10 +182,10 @@ def solve(problem: FDEProblem, h: float, max_rows: int) -> SolveResult:
 class _Tail:
     """Rows b..M of a problem, past its start block, kept as each term's
     kernel, boundary columns and ``BLOCK_ROWS``-square lower Toeplitz block
-    (a leaf).  Their data, pivots and norms are evaluated when it is built,
-    in the order of :func:`assemble_system`, and raise through its row
-    check; :meth:`solve` then extends the start block's solution with the
-    checks of :func:`eliminate`."""
+    (a leaf, whose diagonal no row reads).  Their data, pivots and norms are
+    evaluated when it is built, in the order of :func:`assemble_system`, and
+    raise through its row check; :meth:`solve` then extends the start block's
+    solution with the checks of :func:`eliminate`, up to the first failing row."""
 
     def __init__(self, problem: FDEProblem, h: float, b: int, max_rows: int):
         ms = range(b, max_rows + 1)
@@ -203,21 +204,19 @@ class _Tail:
             self.pivot = d + p
         _check_rows(b, self.offdiag, d, [*self.qs, p, f])
         self.diag = np.abs(self.pivot)
-        self.singular = (self.diag == 0.0) | (self.diag < PIVOT_RTOL * (self.offdiag + np.abs(d)))
+        failing = np.flatnonzero((self.diag == 0.0) | (self.diag < PIVOT_RTOL * (self.offdiag + np.abs(d))))
+        self.stop = b + int(failing[0]) if failing.size else max_rows + 1  # the first row whose pivot fails, else M + 1
         self.f = f
-        self.leaf = [_lower_toeplitz(op.kernel()[:BLOCK_ROWS]) for op in self.ops]
+        self.leaf = [np.ascontiguousarray(_lower_toeplitz(op.kernel(), BLOCK_ROWS)) for op in self.ops]
         self.coef_bytes = sum(op.kernel().nbytes + left.nbytes + t.nbytes for op, left, t in zip(self.ops, self.left, self.leaf))
         self.madds = 0
 
     def solve(self, y0: np.ndarray) -> np.ndarray:
-        """y_0..y_M from the start block's y_0..y_{b-1}.  Raises
-        :class:`SingularPivotError` for the first row whose pivot fails the
-        test of :func:`eliminate`, else :class:`NonFiniteSolutionError` for
-        the first value that is not finite."""
-        b, total = int(self.ms[0]), int(self.ms[-1]) + 1
-        bad = np.flatnonzero(self.singular)
-        if bad.size:
-            raise SingularPivotError(b + int(bad[0]), self.pivot[bad[0]])
+        """y_0..y_M from the start block's y_0..y_{b-1}, solving only the rows
+        before the first pivot that fails the test of :func:`eliminate`:
+        :class:`NonFiniteSolutionError` for the first of them whose value is
+        not finite, else :class:`SingularPivotError` for that pivot."""
+        b, stop, total = int(self.ms[0]), self.stop, int(self.ms[-1]) + 1
         y = np.empty(total)
         y[:b] = y0
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, by its row
@@ -226,16 +225,18 @@ class _Tail:
                 c -= left @ y[: op.a]
                 c -= q * self._history(y[op.a : b], op.kernel(), total - b)
                 self.madds += left.size
-            for j in range(-(-(total - b) // BLOCK_ROWS)):
-                lo, hi = b + j * BLOCK_ROWS, min(b + (j + 1) * BLOCK_ROWS, total)
+            for j in range(-(-(stop - b) // BLOCK_ROWS)):
+                lo, hi = b + j * BLOCK_ROWS, min(b + (j + 1) * BLOCK_ROWS, stop)
                 self._leaf(y, c, lo, hi)
-                if hi == total:
+                if hi == stop:
                     break
                 # the last w leaves, w the largest power of two dividing j + 1, add their history to the next w
                 width = ((j + 1) & -(j + 1)) * BLOCK_ROWS
                 at = slice(hi - b, min(hi + width, total) - b)
                 for op, q in zip(self.ops, self.qs):
                     c[at] -= q[at] * self._history(y[hi - width : hi], op.kernel(), at.stop - at.start)
+        if stop < total:
+            raise SingularPivotError(stop, self.pivot[stop - b])
         return y
 
     def _leaf(self, y: np.ndarray, c: np.ndarray, lo: int, hi: int) -> None:
@@ -267,12 +268,6 @@ class _Tail:
         ex, ek = math.frexp(np.max(np.abs(x)))[1], math.frexp(np.max(np.abs(seg)))[1]
         spectrum = np.fft.rfft(np.ldexp(seg, -ek), n) * np.fft.rfft(np.ldexp(x, -ex), n)
         return np.ldexp(np.fft.irfft(spectrum, n)[size - 1 : size - 1 + count], ex + ek)
-
-
-def _lower_toeplitz(kernel: np.ndarray) -> np.ndarray:
-    """The strictly lower triangular matrix with kernel[i - j] at (i, j), i > j."""
-    i = np.subtract.outer(np.arange(kernel.size), np.arange(kernel.size))
-    return np.where(i > 0, kernel[np.maximum(i, 0)], 0.0)
 
 
 def calibrate(

@@ -170,6 +170,16 @@ def test_riemann_liouville_argument_checks():
         riemann_liouville([1.0], 1.5, 0.0, 1.0)  # needs two Taylor coefficients
 
 
+@pytest.mark.parametrize(
+    "f0_derivs, caputo_value, t",
+    [([math.inf], 0.0, 1.0), ([1.0, math.nan], 0.0, 1.0), ([1.0], math.nan, 1.0), ([1.0], 0.0, math.inf)],
+    ids=["inf-f0", "nan-f1", "nan-caputo", "inf-t"],
+)
+def test_riemann_liouville_refuses_non_finite_arguments(f0_derivs, caputo_value, t):
+    with pytest.raises(ValueError, match=r"^need a finite f0_derivs, caputo_value and t"):
+        riemann_liouville(f0_derivs, len(f0_derivs) - 0.5, caputo_value, t)
+
+
 def reference_rule(alpha, h, m, y):
     """Plain loop over every node: trapezoid node weights from scalar pair
     weights, node_weights stencils everywhere.  Returns the quadrature row,
@@ -310,15 +320,40 @@ def test_quadrature_rows_match_the_pointwise_rule(alpha, dnf):
 
 def test_quadrature_of_samples_near_the_largest_float():
     # the pairs are halved before they are added, so 1.7e308 + 1.7e308 never forms
-    alpha, h, size = 0.3, 2.0**-16, 256
-    op = SubstitutionOperator(alpha, h, size)
-    values = op.quadrature(np.full(size + 1, 1.7e308))
-    exact = 1.7e308 * (np.arange(1, size + 1) * h) ** 0.7 / math.gamma(1.7)
-    assert np.all(np.abs(values - exact) <= 1e-13 * exact)
+    alpha, h = 0.3, 2.0**-16
+    for size in (256, 1024):
+        op = SubstitutionOperator(alpha, h, size)
+        values = op.quadrature(np.full(size + 1, 1.7e308))
+        exact = 1.7e308 * (np.arange(1, size + 1) * h) ** 0.7 / math.gamma(1.7)
+        assert np.all(np.abs(values - exact) <= 1e-13 * exact), size
     # h = 1e5: the sum overflows; h = 1: the sum 1.7e308 is finite, its division by Gamma(1.5) < 1 is not
     for h, g in ((1e5, np.full(11, 1e308)), (1.0, np.full(2, 1.7e308))):
         with pytest.raises(OverflowError, match=r"^D\^alpha of the n-th derivative is not finite in row 1$"):
             SubstitutionOperator(0.5, h, g.size - 1).quadrature(g)
+
+
+def test_quadrature_rows_keep_the_accuracy_of_their_own_terms():
+    # f^(n) = exp(50 x): the last samples are 5e21 times the first, and each row's rounding must
+    # scale with its own terms, not with the largest samples (as a transform of all rows would)
+    alpha, h, size = 0.8, 2.0**-10, 1024
+    dnf = lambda x: math.exp(50 * x)  # noqa: E731
+    g = np.array([dnf(x) for x in np.arange(size + 1) * h])
+    values = SubstitutionOperator(alpha, h, size).quadrature(g)
+    for m in (1, 2, 10, 100, 300, 700, 1024):
+        grid = Grid.uniform_grid(h, m)
+        terms = 0.5 * (g[:m] + g[1 : m + 1]) * substitution_weights(grid.nodes, 1 - alpha) / math.gamma(2 - alpha)
+        assert abs(values[m - 1] - caputo_substitution(dnf, alpha, grid)) <= 1e-14 * np.sum(np.abs(terms)), m
+
+
+def test_substitution_of_a_derivative_near_the_largest_float():
+    # the pairs are halved before they are added, as in the quadrature of the same samples
+    grid = Grid.uniform_grid(2.0**-16, 256)
+    value = caputo_substitution(lambda x: 1.7e308, 0.3, grid)
+    expected = SubstitutionOperator(0.3, grid.h, grid.m).quadrature(np.full(grid.m + 1, 1.7e308))[-1]
+    assert abs(value - expected) <= 1e-13 * expected
+    for dnf in (lambda x: math.inf, lambda x: math.nan, lambda x: -math.inf if x > 0.001 else math.inf):
+        with pytest.raises(OverflowError, match=r"^D\^alpha of the n-th derivative is not finite in row 256$"):
+            caputo_substitution(dnf, 0.3, grid)
 
 
 @pytest.mark.parametrize("alpha", [2.2, 2.5, 2.9, 2.99, 3.5, 3.99, 4.5, 4.99])

@@ -275,10 +275,19 @@ def test_solve_above_order_two_stays_bounded(tmp_path, capsys):
         ["oracle", "--name", "caputo-power", "--alpha", "0.5", "--beta", "inf", "--h", "0.5", "--t-end", "1"],
         ["oracle", "--name", "mittag-leffler", "--a", "nan", "--b", "1", "--h", "0.5", "--t-end", "1"],
         ["oracle", "--name", "mittag-leffler", "--a", "0.5", "--b", "nan", "--h", "0.5", "--t-end", "1"],
+        ["solve", "--config", RELAX_CFG + "h 0.25\n"],  # a config line without "="
+        ["solve", "--h", "0.3"],  # does not divide t_end = 1
+        ["oracle", "--name", "caputo-power", "--alpha", "0.5", "--h", "0.5", "--t-end", "1"],
+        ["oracle", "--name", "mittag-leffler", "--a", "0.5", "--h", "0.5", "--t-end", "1"],
+        ["oracle", "--name", "bessel-series", "--h", "0.5", "--t-end", "1"],
+        ["assemble", "--m", "1"],  # row 1 of an order-2 problem is in the prefix
     ],
 )
-def test_argument_errors_exit_one_with_one_line(argv, relax_cfg, capsys):
-    if argv[0] in ("solve", "converge"):
+def test_argument_errors_exit_one_with_one_line(argv, relax_cfg, tmp_path, capsys):
+    if "--config" in argv:  # the config text, written to a file
+        (tmp_path / "case.cfg").write_text(argv[-1])
+        argv = [*argv[:-1], str(tmp_path / "case.cfg")]
+    elif argv[0] in ("solve", "converge", "assemble"):
         argv = [*argv, "--config", relax_cfg]
     assert main(argv) == 1
     captured = capsys.readouterr()

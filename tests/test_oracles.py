@@ -70,6 +70,14 @@ def test_mittag_leffler_at_zero_is_leading_coefficient():
     assert mittag_leffler(1.5, 2.5, 0.0) == pytest.approx(0.7522528, abs=1e-7)
 
 
+def test_mittag_leffler_with_gamma_arguments_at_and_below_zero():
+    # 1/Gamma vanishes at the poles 0 and -1, so E_{1,-1}(z) = sum_{k>=2} z^k/(k-2)! = z^2 e^z
+    assert mittag_leffler(1.0, -1.0, 1.5) == pytest.approx(1.5**2 * math.exp(1.5), rel=1e-12)
+    # Gamma(-0.5) < 0 takes the plain power and reciprocal
+    expected = math.fsum(0.7**k / math.gamma(k - 0.5) for k in range(80))
+    assert mittag_leffler(1.0, -0.5, 0.7) == pytest.approx(expected, rel=1e-15)
+
+
 def test_mittag_leffler_reduces_to_cosine():
     assert mittag_leffler(2.0, 1.0, -1.0) == pytest.approx(math.cos(1.0), abs=1e-9)
     assert mittag_leffler(2.0, 1.0, -4.0) == pytest.approx(math.cos(2.0), abs=1e-9)
@@ -175,6 +183,8 @@ def test_bessel_argument_checks():
         bessel_series(-1.0)
     with pytest.raises(ValueError):
         bessel_series(2.0, 0)
+    with pytest.raises(ValueError, match=r"^indicial root not bracketed "):
+        bessel_series(1e6)
 
 
 def test_bessel_indicial_root_to_float_resolution():

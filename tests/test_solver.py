@@ -248,6 +248,23 @@ def test_histories_near_the_float_limit_overflow_where_the_dense_elimination_doe
         assert np.max(np.abs(solve(problem, h, m).y - y)) <= 1e-10 * np.max(np.abs(y))
 
 
+@pytest.mark.parametrize(
+    "q, f, row",
+    [
+        ("1e-10*(x-1)", parse("1e308"), 1),  # y_1 overflows; the zero pivot at row 128 is past the start block
+        ("1e-10*(x-0.234375)", parse("1e308"), 1),  # y_1 overflows before the zero pivot at row 30
+        ("1e-10*(x-1)", lambda x: 1e308 if x >= 100 / 128 else 1.0, 100),  # y_100 overflows before row 128
+    ],
+    ids=["crosses-the-paths", "start-block-only", "tail-only"],
+)
+def test_both_row_paths_raise_for_the_first_failing_row(q, f, row):
+    problem = FDEProblem((DerivativeTerm(0.5, parse(q)),), ZERO, f, (0.0,))
+    for run in (dense_solve, solve):
+        with pytest.raises(NonFiniteSolutionError, match=rf"^solution is not finite from row {row} on ") as info:
+            run(problem, 1.0 / 128, 256)
+        assert info.value.row == row
+
+
 def test_overflowing_assembled_row_is_an_overflow_error_naming_the_row():
     # finite data whose products overflow: 1e306 times the row-2 coefficients is inf
     problem = FDEProblem((DerivativeTerm(0.5, parse("1e306")),), ONE, ONE, (0.0,))
