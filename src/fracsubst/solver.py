@@ -13,7 +13,9 @@ this block alone.  From row B on, row m of term l is kappa_l[m - k] in
 columns k >= a_l (the operator's :meth:`~.caputo.SubstitutionOperator.kernel`)
 plus its :meth:`~.caputo.SubstitutionOperator.boundary` columns below a_l,
 so no dense row is built.  These rows are solved ``BLOCK_ROWS`` at a time
-(a leaf) by forward substitution, and once j leaves are solved, the last w
+(a leaf) by forward substitution, each row one dot product of the leaf's
+Toeplitz block, zero on and above its diagonal, with all the leaf's values,
+the unsolved ones set to zero first.  Once j leaves are solved, the last w
 of them, w the largest power of two dividing j, add their history to the
 next w leaves through one convolution per term: the divide-and-conquer
 order of Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985)
@@ -98,7 +100,9 @@ class SolveResult:
       takes m; past the start block each row and term takes a for its
       boundary columns, each leaf of k rows k(k-1)/2 per term, a direct
       convolution of L values into the next c rows L c, and an FFT one of
-      transform length N counts N log2 N;
+      transform length N counts N log2 N.  A leaf row is one dot product
+      with all k values of its leaf, but the zeros on and above the
+      diagonal are not counted;
     * ``rows_checked``: the rows in ``report``.
     """
 
@@ -181,11 +185,12 @@ def solve(problem: FDEProblem, h: float, max_rows: int) -> SolveResult:
 
 class _Tail:
     """Rows b..M of a problem, past its start block, kept as each term's
-    kernel, boundary columns and ``BLOCK_ROWS``-square lower Toeplitz block
-    (a leaf, whose diagonal no row reads).  Their data, pivots and norms are
-    evaluated when it is built, in the order of :func:`assemble_system`, and
-    raise through its row check; :meth:`solve` then extends the start block's
-    solution with the checks of :func:`eliminate`, up to the first failing row."""
+    kernel, boundary columns and ``BLOCK_ROWS``-square strictly lower
+    Toeplitz block of a leaf, kappa[i - j] below the diagonal and zero on and
+    above it.  Their data, pivots and norms are evaluated when it is built,
+    in the order of :func:`assemble_system`, and raise through its row check;
+    :meth:`solve` then extends the start block's solution with the checks of
+    :func:`eliminate`, up to the first failing row."""
 
     def __init__(self, problem: FDEProblem, h: float, b: int, max_rows: int):
         ms = range(b, max_rows + 1)
@@ -207,7 +212,7 @@ class _Tail:
         failing = np.flatnonzero((self.diag == 0.0) | (self.diag < PIVOT_RTOL * (self.offdiag + np.abs(d))))
         self.stop = b + int(failing[0]) if failing.size else max_rows + 1  # the first row whose pivot fails, else M + 1
         self.f = f
-        self.leaf = [np.ascontiguousarray(_lower_toeplitz(op.kernel(), BLOCK_ROWS)) for op in self.ops]
+        self.leaf = [np.tril(_lower_toeplitz(op.kernel(), BLOCK_ROWS), -1) for op in self.ops]
         self.coef_bytes = sum(op.kernel().nbytes + left.nbytes + t.nbytes for op, left, t in zip(self.ops, self.left, self.leaf))
         self.madds = 0
 
@@ -240,13 +245,17 @@ class _Tail:
         return y
 
     def _leaf(self, y: np.ndarray, c: np.ndarray, lo: int, hi: int) -> None:
-        """Rows lo..hi-1 by forward substitution, each a dot product with the
-        values of the leaf before it."""
+        """Rows lo..hi-1 by forward substitution, row i one dot product with
+        all the leaf's values, which is faster than slicing it to the values
+        before i: its zero diagonal and upper part meet the unsolved values,
+        set to zero first, so that they add exact zeros even where the
+        memory held something not finite."""
         at, n = slice(lo - self.ms[0], hi - self.ms[0]), hi - lo
         block = sum(q[at, None] * t[:n, :n] for q, t in zip(self.qs, self.leaf))
         rhs, pivot, ys = c[at].tolist(), self.pivot[at].tolist(), y[lo:hi]
-        for i in range(n):
-            ys[i] = (rhs[i] - np.dot(block[i, :i], ys[:i])) / pivot[i]
+        ys[:] = 0.0
+        for i, row in enumerate(block):
+            ys[i] = (rhs[i] - row.dot(ys)) / pivot[i]
         self.madds += len(self.ops) * n * (n - 1) // 2
         bad = np.flatnonzero(~np.isfinite(ys))
         if bad.size:
