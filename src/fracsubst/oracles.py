@@ -45,6 +45,7 @@ def caputo_power(alpha: float, beta: float, t: float) -> float:
     pole, where the rule is undefined.  The Gamma ratio is taken directly,
     or through lgamma where Gamma(beta + 1) alone would overflow.
     """
+    alpha, beta, t = float(alpha), float(beta), float(t)
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be finite and positive, got {alpha!r}")
     if not (math.isfinite(beta) and beta >= 0):
@@ -76,6 +77,7 @@ def mittag_leffler(a: float, b: float, z: float, tol: float = 1e-12) -> float:
     Summation stops once |term| < tol * |partial sum| holds for three
     consecutive terms.  Real z with |z| <= 50 (series regime).
     """
+    a, b, z, tol = float(a), float(b), float(z), float(tol)
     if not (math.isfinite(a) and a > 0 and math.isfinite(b) and math.isfinite(tol)):
         raise ValueError(f"need a finite a > 0, b and tol, got a={a!r}, b={b!r}, tol={tol!r}")
     if not abs(z) <= 50:
@@ -116,6 +118,7 @@ def mittag_leffler(a: float, b: float, z: float, tol: float = 1e-12) -> float:
 def relaxation_solution(alpha: float, t: float) -> float:
     """Exact solution y(t) = t^a E_{a,a+1}(-t^a) of D^a y + y = 1, y(0)=0
     (and y'(0)=0 when 1 < a < 2)."""
+    alpha, t = float(alpha), float(t)
     if not 0 < alpha < 2:
         raise ValueError("relaxation closed form covers 0 < alpha < 2")
     if t < 0:

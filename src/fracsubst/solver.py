@@ -13,11 +13,22 @@ this block alone.  From row B on, row m of term l is kappa_l[m - k] in
 columns k >= a_l (the operator's :meth:`~.caputo.SubstitutionOperator.kernel`)
 plus its :meth:`~.caputo.SubstitutionOperator.boundary` columns below a_l,
 so no dense row is built.  These rows are solved ``BLOCK_ROWS`` at a time
-(a leaf) by forward substitution, each row one dot product of the leaf's
-Toeplitz block, zero on and above its diagonal, with all the leaf's values,
-the unsolved ones set to zero first.  Once j leaves are solved, the last w
-of them, w the largest power of two dividing j, add their history to the
-next w leaves through one convolution per term: the divide-and-conquer
+(a leaf), in one of two ways.  Where every q_l and p is constant on them,
+every leaf has the same lower-triangular Toeplitz matrix L = pivot I +
+sum_l q_l T_l, and so has its inverse G: G is built once per solve, from the
+forward substitution of L on e_0, and a leaf is y = G c plus one step of
+iterative refinement, y += G (c - L y).  An explicit inverse alone is not
+backward stable at high order (Du Croz & Higham, IMA J. Numer. Anal. 12
+(1992) 1-19); one refinement step restores it (Skeel, Math. Comp. 35 (1980)
+817-832).  Every other leaf is solved by forward substitution, each row one
+dot product of the leaf's Toeplitz block, zero on and above its diagonal,
+with all the leaf's values, the unsolved ones set to zero first.  So are
+the leaves of constant coefficients where they are one leaf, or G is not
+finite or misses the accuracy bound ``SHARED_THETA``, and any shared leaf
+whose values are not finite, solved again so that the error names the
+same first failing row.  Once j leaves are solved, the last w of them, w
+the largest power of two dividing j, add their history to the next w
+leaves through one convolution per term: the divide-and-conquer
 order of Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985)
 532-541, which costs O(M log^2 M) time and O(M) memory.  Their pivots and
 dominance margins are computed for all of them at once, and their rows are
@@ -62,6 +73,14 @@ PIVOT_RTOL = 1e-13
 # histories of at most this many rows take np.convolve, longer ones the FFT: on a 2-vCPU
 # Xeon np.convolve took 14 us against the FFT's 42 us at 256 rows, and they tied at 512
 DIRECT_HISTORY = 256
+# the largest theta = ||I - G L||_inf for which leaves of constant coefficients share the
+# inverse G of their matrix L.  One refinement step leaves about theta^2 of the first guess's
+# error, and theta, the residual of L's own forward substitution, is at most about 64 u times
+# ||L^-1| |L||_inf, the factor in forward substitution's error bound: so the shared leaf
+# adds at most about 1e-4 of the error that forward substitution is allowed.  With q = p = 1
+# and h = 1/2048..5/256, theta is <= 6e-8 for alpha <= 4.9, 1.7e-5 at alpha = 6.5 and 4e-3
+# at 8.5; a pivot near zero, whose solution overflows, gives 3e8 and more
+SHARED_THETA = 1e-4
 
 
 class SingularPivotError(ArithmeticError):
@@ -95,14 +114,19 @@ class SolveResult:
     * ``rows``: the rows solved, r..M, as many as ``rows_checked``;
     * ``coef_bytes``: the coefficient arrays held, O(M): the dense start
       block's rows, and past it each term's kernel, boundary columns and
-      leaf block;
+      leaf block, and the shared leaf's L and G, B^2 values each, B =
+      ``BLOCK_ROWS``, where leaves share them;
     * ``madds``: the multiply-adds of the history sums.  A dense row m
       takes m; past the start block each row and term takes a for its
       boundary columns, each leaf of k rows k(k-1)/2 per term, a direct
       convolution of L values into the next c rows L c, and an FFT one of
-      transform length N counts N log2 N.  A leaf row is one dot product
-      with all k values of its leaf, but the zeros on and above the
-      diagonal are not counted;
+      transform length N counts N log2 N.  With constant coefficients G
+      takes B(B-1)/2 for its forward substitution and B(B+1)/2 for theta's
+      product, and a shared leaf of k rows takes 3k(k+1)/2 for its three
+      triangular products instead of its forward substitution.  A leaf row
+      is one dot product with all k values of its leaf, and G and L are
+      B-square, but the zeros above the diagonal and the products with the
+      unsolved zeros are not counted;
     * ``rows_checked``: the rows in ``report``.
     """
 
@@ -190,7 +214,15 @@ class _Tail:
     above it.  Their data, pivots and norms are evaluated when it is built,
     in the order of :func:`assemble_system`, and raise through its row check;
     :meth:`solve` then extends the start block's solution with the checks of
-    :func:`eliminate`, up to the first failing row."""
+    :func:`eliminate`, up to the first failing row.
+
+    Where every q_l and p is constant on the rows, and the rows before the
+    first failing pivot span more than one leaf, ``shared`` holds the one
+    leaf matrix L and its inverse G of :meth:`_shared_inverse`, and each leaf
+    is :meth:`_shared_leaf`.  The row leaf, :meth:`_leaf`, serves (a)
+    variable coefficients, (b) a G that is not finite or whose theta exceeds
+    ``SHARED_THETA``, and (c) a shared leaf whose values are not finite,
+    solved again to name its first failing row."""
 
     def __init__(self, problem: FDEProblem, h: float, b: int, max_rows: int):
         ms = range(b, max_rows + 1)
@@ -215,6 +247,10 @@ class _Tail:
         self.leaf = [np.tril(_lower_toeplitz(op.kernel(), BLOCK_ROWS), -1) for op in self.ops]
         self.coef_bytes = sum(op.kernel().nbytes + left.nbytes + t.nbytes for op, left, t in zip(self.ops, self.left, self.leaf))
         self.madds = 0
+        self.shared = None
+        if self.stop - b > BLOCK_ROWS and all(np.all(v == v[0]) for v in (*self.qs, p)):  # G serves two leaves or more
+            self.shared = self._shared_inverse()
+            self.coef_bytes += sum(t.nbytes for t in self.shared or ())
 
     def solve(self, y0: np.ndarray) -> np.ndarray:
         """y_0..y_M from the start block's y_0..y_{b-1}, solving only the rows
@@ -224,6 +260,7 @@ class _Tail:
         b, stop, total = int(self.ms[0]), self.stop, int(self.ms[-1]) + 1
         y = np.empty(total)
         y[:b] = y0
+        leaf = self._leaf if self.shared is None else self._shared_leaf
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, by its row
             c = self.f.copy()  # f_m less the part of row m's sum known so far
             for op, q, left in zip(self.ops, self.qs, self.left):
@@ -232,7 +269,7 @@ class _Tail:
                 self.madds += left.size
             for j in range(-(-(stop - b) // BLOCK_ROWS)):
                 lo, hi = b + j * BLOCK_ROWS, min(b + (j + 1) * BLOCK_ROWS, stop)
-                self._leaf(y, c, lo, hi)
+                leaf(y, c, lo, hi)
                 if hi == stop:
                     break
                 # the last w leaves, w the largest power of two dividing j + 1, add their history to the next w
@@ -245,21 +282,56 @@ class _Tail:
         return y
 
     def _leaf(self, y: np.ndarray, c: np.ndarray, lo: int, hi: int) -> None:
-        """Rows lo..hi-1 by forward substitution, row i one dot product with
-        all the leaf's values, which is faster than slicing it to the values
-        before i: its zero diagonal and upper part meet the unsolved values,
-        set to zero first, so that they add exact zeros even where the
-        memory held something not finite."""
+        """Rows lo..hi-1 by forward substitution (:func:`_substitute`), row i
+        one dot product with all the leaf's values, which is faster than
+        slicing it to the values before i: its zero diagonal and upper part
+        meet the unsolved values, set to zero first, so that they add exact
+        zeros even where the memory held something not finite.  The leaf of
+        variable coefficients, and of constant ones that cannot share G."""
         at, n = slice(lo - self.ms[0], hi - self.ms[0]), hi - lo
         block = sum(q[at, None] * t[:n, :n] for q, t in zip(self.qs, self.leaf))
-        rhs, pivot, ys = c[at].tolist(), self.pivot[at].tolist(), y[lo:hi]
-        ys[:] = 0.0
-        for i, row in enumerate(block):
-            ys[i] = (rhs[i] - row.dot(ys)) / pivot[i]
+        ys = y[lo:hi]
+        _substitute(block, c[at].tolist(), self.pivot[at].tolist(), ys)
         self.madds += len(self.ops) * n * (n - 1) // 2
         bad = np.flatnonzero(~np.isfinite(ys))
         if bad.size:
             raise NonFiniteSolutionError(lo + int(bad[0]))
+
+    def _shared_inverse(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(L, G): the ``BLOCK_ROWS``-square lower Toeplitz matrix L of every
+        leaf of constant coefficients, diagonal included, and its inverse G,
+        whose first column is L's row-by-row forward substitution on e_0;
+        None where G is not finite or theta = ||I - G L||_inf, the first column
+        of G L summed, exceeds ``SHARED_THETA``."""
+        n = BLOCK_ROWS
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow refuses the inverse below
+            column = sum(q[0] * op.kernel()[:n] for op, q in zip(self.ops, self.qs))
+            column[0] = self.pivot[0]  # d + p: the diagonal is where p enters
+            lower = _lower_toeplitz(column, n).copy()
+            g = np.empty(n)
+            _substitute(lower, [1.0] + [0.0] * (n - 1), self.pivot[:n].tolist(), g)
+            residual = np.convolve(g, column)[:n]
+            residual[0] -= 1.0
+            theta = np.abs(residual).sum()
+        self.madds += n * (n - 1) // 2 + n * (n + 1) // 2
+        if not (np.all(np.isfinite(g)) and theta <= SHARED_THETA):
+            return None
+        return lower, _lower_toeplitz(g, n).copy()
+
+    def _shared_leaf(self, y: np.ndarray, c: np.ndarray, lo: int, hi: int) -> None:
+        """Rows lo..hi-1 as y = G c plus one refinement step, y += G (c - L y),
+        with G and L the leading blocks of :meth:`_shared_inverse`'s; a leaf
+        whose values are not finite is solved again by :meth:`_leaf`, which
+        names its first failing row."""
+        n = hi - lo
+        lower, inverse = (t[:n, :n] for t in self.shared)
+        rhs = c[lo - self.ms[0] : hi - self.ms[0]]
+        ys = inverse @ rhs
+        ys += inverse @ (rhs - lower @ ys)
+        y[lo:hi] = ys
+        self.madds += 3 * n * (n + 1) // 2
+        if not np.all(np.isfinite(ys)):
+            self._leaf(y, c, lo, hi)
 
     def _history(self, x: np.ndarray, kernel: np.ndarray, count: int) -> np.ndarray:
         """sum_j x_j kernel[L + i - j], i = 0..count-1, L = len(x): what the L
@@ -277,6 +349,15 @@ class _Tail:
         ex, ek = math.frexp(np.max(np.abs(x)))[1], math.frexp(np.max(np.abs(seg)))[1]
         spectrum = np.fft.rfft(np.ldexp(seg, -ek), n) * np.fft.rfft(np.ldexp(x, -ex), n)
         return np.ldexp(np.fft.irfft(spectrum, n)[size - 1 : size - 1 + count], ex + ek)
+
+
+def _substitute(block: np.ndarray, rhs: list[float], pivot: list[float], ys: np.ndarray) -> None:
+    """Forward substitution ys[i] = (rhs[i] - block[i] @ ys) / pivot[i], i in
+    order, ys set to zero first, so that block's diagonal and upper part meet
+    only the unsolved zeros."""
+    ys[:] = 0.0
+    for i, row in enumerate(block):
+        ys[i] = (rhs[i] - row.dot(ys)) / pivot[i]
 
 
 def calibrate(

@@ -416,6 +416,13 @@ def test_caputo_power_oracle_past_the_gamma_overflow(tmp_path):
     assert float(value) == pytest.approx(20.006, abs=1e-3)
 
 
+def test_oracle_errors_print_plain_floats(capsys):
+    # the nodes come from np.arange; z = -50^1.5 is past the series regime of |z| <= 50
+    assert main(["oracle", "--name", "relaxation", "--alpha", "1.5", "--h", "1", "--t-end", "50"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: |z| > 50 is outside the series regime, got z=-52.38320341483518\n", err
+
+
 def test_system_too_large_for_memory_exits_two(capsys):
     # `condition` reads the dense rows, which `solve` builds for its start block only
     fig1 = Path(__file__).resolve().parents[1] / "demos" / "fig1.cfg"

@@ -3,9 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fracsubst.assembly import BLOCK_ROWS, DerivativeTerm, FDEProblem, assemble_system
+from fracsubst.caputo import SubstitutionOperator
 from fracsubst.expr import DomainError, parse
 from fracsubst.oracles import caputo_power, mittag_leffler, relaxation_solution
 from fracsubst.solver import (
@@ -189,17 +190,38 @@ def test_stats_count_the_work_of_a_small_solve():
     assert dict(calibrate(homogeneous, 1e-4, (1.0, 1.0), 0.125, 16).stats) == counts
 
 
-def test_stats_count_the_work_past_the_start_block():
-    # D^1.5 y + y = 1 at M = B + 70: dense rows 2..B-1, then a 64-row leaf, a 64-row history into the
-    # last 7 rows and a 7-row leaf; the term has a = 4 boundary columns and a kernel of M + 1 values
+def tail_stats(q):
+    """``solve``'s stats for D^1.5 y + q y = 1 at M = B + 70: dense rows 2..B-1, then a 64-row leaf, a 64-row
+    history into the last 7 rows and a 7-row leaf; the term has a = 4 boundary columns and a kernel of M + 1
+    values"""
+    m = 2 + BLOCK_ROWS + 70
+    return dict(solve(FDEProblem((DerivativeTerm(1.5, parse(q)),), ONE, ONE, (0.0, 0.0)), 5.0 / m, m).stats)
+
+
+def tail_counts():
+    """the counts of ``tail_stats`` less those of the leaves: (M, coef_bytes, madds)"""
     b = 2 + BLOCK_ROWS
     m, a, tail = b + 70, 4, 71
     dense = range(2, b)
     coef_bytes = 8 * sum(k + 1 for k in dense) + 8 * (m + 1) + 8 * tail * a + 8 * BLOCK_ROWS**2
     history = (b - a) * tail + BLOCK_ROWS * 7  # y_a..y_(b-1) into every tail row, then leaf 1 into the rest
-    madds = sum(dense) + tail * a + history + BLOCK_ROWS * (BLOCK_ROWS - 1) // 2 + 7 * 6 // 2
-    result = solve(FDEProblem((DerivativeTerm(1.5, ONE),), ONE, ONE, (0.0, 0.0)), 5.0 / m, m)
-    assert dict(result.stats) == {"rows": m - 1, "coef_bytes": coef_bytes, "madds": madds, "rows_checked": m - 1}
+    return m, coef_bytes, sum(dense) + tail * a + history
+
+
+def test_stats_count_the_work_past_the_start_block():
+    # q = 1: the leaves share L and G: G's forward substitution, theta's product, three products a leaf
+    m, coef_bytes, madds = tail_counts()
+    coef_bytes += 2 * 8 * BLOCK_ROWS**2
+    madds += BLOCK_ROWS * (BLOCK_ROWS - 1) // 2 + BLOCK_ROWS * (BLOCK_ROWS + 1) // 2
+    madds += 3 * BLOCK_ROWS * (BLOCK_ROWS + 1) // 2 + 3 * 7 * 8 // 2
+    assert tail_stats("1") == {"rows": m - 1, "coef_bytes": coef_bytes, "madds": madds, "rows_checked": m - 1}
+
+
+def test_stats_count_the_work_of_the_row_leaf_past_the_start_block():
+    # q = 1 + x: each leaf by forward substitution
+    m, coef_bytes, madds = tail_counts()
+    madds += BLOCK_ROWS * (BLOCK_ROWS - 1) // 2 + 7 * 6 // 2
+    assert tail_stats("1 + x") == {"rows": m - 1, "coef_bytes": coef_bytes, "madds": madds, "rows_checked": m - 1}
 
 
 def test_calibration_zero_reference_gives_zero():
@@ -250,7 +272,8 @@ def test_overflowing_elimination_names_the_first_non_finite_row():
 @pytest.mark.parametrize("f", ["1e305", "1e306", "1e307"])
 def test_histories_near_the_float_limit_overflow_where_the_dense_elimination_does(f):
     # y rises to 0.77 f: the FFT histories of 512 rows must not overflow before the direct sums do,
-    # and at f = 1e306 the leaf products come within about 10x of the float limit
+    # and at f = 1e306 the leaf products come within about 10x of the float limit; at 1e307 the
+    # shared leaves' products overflow from row 833 on, and the row leaf solves them again
     problem = FDEProblem((DerivativeTerm(0.5, ONE),), ONE, parse(f), (0.0,))
     h, m = 5.0 / 2048, 2048
     try:
@@ -261,6 +284,20 @@ def test_histories_near_the_float_limit_overflow_where_the_dense_elimination_doe
         assert info.value.row == dense.row == 994
     else:
         assert np.max(np.abs(solve(problem, h, m).y - y)) <= 1e-10 * np.max(np.abs(y))
+
+
+@pytest.mark.parametrize("eps, row", [(1e-3, 110), (1e-2, 167), (0.1, 354), (0.3, 791)])
+def test_a_near_zero_pivot_overflows_at_the_same_row_on_both_paths(eps, row):
+    # D^0.5 y + p y = 1 with p = -(1 - eps) kappa_0: every pivot is eps kappa_0 and y grows until it
+    # overflows.  theta = ||I - G L|| is 9e164 at eps = 1e-3 and 3e8 at 0.3, far past SHARED_THETA, so
+    # the row leaf serves; test_histories_near_the_float_limit_... at f = 1e307 re-solves shared leaves
+    h, m = 5.0 / 1024, 1024
+    p = -(1.0 - eps) * float(SubstitutionOperator(0.5, h, m).kernel()[0])
+    problem = FDEProblem((DerivativeTerm(0.5, ONE),), parse(repr(p)), ONE, (0.0,))
+    for run in (dense_solve, solve):
+        with pytest.raises(NonFiniteSolutionError, match=rf"^solution is not finite from row {row} on ") as info:
+            run(problem, h, m)
+        assert info.value.row == row
 
 
 @pytest.mark.parametrize(
@@ -353,6 +390,21 @@ def dense_solve(problem, h, m):
     return eliminate(assemble_system(problem, h, m), init_prefix(problem.initial_conditions, h))
 
 
+# what the leaves of constant coefficients hold beyond the row leaf's: L and G, B^2 values each
+SHARED_LEAF_BYTES = 2 * 8 * BLOCK_ROWS**2
+
+
+def shared_leaf_bytes(problem, h, m, result):
+    """``result``'s coef_bytes less those of the row leaf for order n <= 2: the dense rows r..B-1 and,
+    past them, each term's kernel, boundary columns and leaf block"""
+    start = problem.order + BLOCK_ROWS
+    held = 8 * sum(k + 1 for k in range(problem.order, min(m, start - 1) + 1))
+    if m >= start:
+        ops = [SubstitutionOperator(term.alpha, h, m) for term in problem.terms]
+        held += sum(op.kernel().nbytes + 8 * (m - start + 1) * op.a + 8 * BLOCK_ROWS**2 for op in ops)
+    return result.stats["coef_bytes"] - held
+
+
 def agreement_problems():
     two_term_f = lambda t: caputo_power(0.5, 3, t) + caputo_power(1.5, 3, t) if t > 0 else 0.0  # noqa: E731
     bessel = homogeneous_bessel()
@@ -363,8 +415,14 @@ def agreement_problems():
         "1.5-sin": FDEProblem((DerivativeTerm(1.5, parse("2 + sin(x)")),), ONE, ONE, (0.0, 0.0)),
         # acceptance criterion 8's manufactured two-term equation, y = t^3
         "two-term": FDEProblem((DerivativeTerm(0.5, ONE), DerivativeTerm(1.5, ONE)), ZERO, two_term_f, (0.0, 0.0)),
+        "two-term-p": FDEProblem((DerivativeTerm(0.5, parse("2")), DerivativeTerm(1.5, ONE)), parse("0.5"), ONE, (0.0, 0.0)),
+        "0.5-p-x": FDEProblem((DerivativeTerm(0.5, ONE),), parse("1 + x"), ONE, (0.0,)),
         "bessel": FDEProblem(bessel.terms, bessel.p, ONE, (0.0, 1.0)),
     }
+
+
+# the problems whose q_l and p are constant, so that their leaves share L and G
+SHARED_LEAF = {"0.5", "1.5", "two-term", "two-term-p"}
 
 
 @pytest.mark.parametrize("name", list(agreement_problems()))
@@ -380,6 +438,8 @@ def test_solve_matches_the_dense_elimination(name):
         assert result.pivot_min == pivot_min, m
         if m < start:
             assert np.array_equal(result.y, y), m
+        shared = name in SHARED_LEAF and m - start >= BLOCK_ROWS  # a tail of one leaf keeps the row leaf
+        assert shared_leaf_bytes(problem, h, m, result) == (SHARED_LEAF_BYTES if shared else 0), m
         # the norms past the start block: exact for one term, a bound for several
         dense = [row.offdiag for row in assemble_system(problem, h, m)] if m <= 200 else []
         for got, want in zip(result.report.offdiag, dense):
@@ -395,18 +455,24 @@ def test_solve_matches_the_dense_elimination(name):
     a=st.floats(0.5, 2.0),
     b=st.floats(-0.05, 1.0),
     p=st.floats(0.0, 2.0),
-    data=st.data(),
+    m=st.integers(BLOCK_ROWS, 700),
 )
-def test_solve_matches_the_dense_elimination_for_random_problems(alpha, a, b, p, data):
-    # M from B - 1 (no tail) to 700 mostly ends the tail on a partial leaf; q >= 0.25 on [0, 5]
+@example(alpha=1.5, a=1.0, b=0.0, p=1.0, m=651)  # constant q: the leaves share L and G
+@example(alpha=1.5, a=1.0, b=0.5, p=1.0, m=651)  # q varies: each leaf by forward substitution
+def test_solve_matches_the_dense_elimination_for_random_problems(alpha, a, b, p, m):
+    # M from B - 1 or B - 2 (no tail) to 700 mostly ends the tail on a partial leaf; q >= 0.25 on [0, 5]
     n = math.ceil(alpha)
-    m = data.draw(st.integers(n + BLOCK_ROWS - 1, 700), label="M")
-    problem = FDEProblem((DerivativeTerm(alpha, parse(f"{a!r} + {b!r}*x")),), parse(repr(p)), ONE, (0.0,) * n)
+    q = parse(f"{a!r} + {b!r}*x")
+    problem = FDEProblem((DerivativeTerm(alpha, q),), parse(repr(p)), ONE, (0.0,) * n)
     h = 5.0 / m
     y, pivot_min = dense_solve(problem, h, m)
     result = solve(problem, h, m)
     assert np.max(np.abs(result.y - y)) <= 1e-10 * np.max(np.abs(y))
     assert result.pivot_min == pivot_min
+    # q constant on the rows past the start block, in floats, and those rows more than one leaf
+    q_tail = q(np.arange(n + BLOCK_ROWS, m + 1) * h)
+    shared = m - n - BLOCK_ROWS >= BLOCK_ROWS and np.all(q_tail == q_tail[0])
+    assert shared_leaf_bytes(problem, h, m, result) == (SHARED_LEAF_BYTES if shared else 0)
 
 
 @pytest.mark.parametrize("alpha", [2.5, 3.5, 4.5])
