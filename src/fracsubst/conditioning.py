@@ -27,7 +27,8 @@ class ConditioningReport:
     margin[i] = diag[i] - offdiag[i] with diag = |d_m + p_m| and offdiag =
     sum_{k<m} |d_k|, read from :attr:`AssembledRow.offdiag` (computed once
     per row, when it is built).  Rows that :func:`~.solver.solve` takes past
-    its dense start block have no ``AssembledRow``: their offdiag is exact
+    its dense start block, from the first row where every term is
+    ``steady``, have no ``AssembledRow``: their offdiag is exact
     for one term, and for several terms the triangle-inequality bound
     sum_l |q_l(x_m)| sum_{k<m} |d^l_k|, never below the true norm, so a
     satisfied report stays sound.  delta is the smallest margin and the

@@ -4,37 +4,40 @@ The first r grid values come from a truncated Taylor prefix built out of
 the initial conditions (y_1 = y_0 + h y'(0) for second-order problems);
 every later value follows from its own row in one division.
 
-:func:`solve` takes the rows in two parts.  A start block, rows r..B-1 with
-B = r + ``BLOCK_ROWS`` grown by whole blocks until every term is past its
-``steady`` row, is assembled densely and eliminated row by row, each row a
-dot product with the values before it and a pivot test against the
-off-diagonal 1-norm it computed when it was built; a grid of M < B steps is
-this block alone.  From row B on, row m of term l is kappa_l[m - k] in
-columns k >= a_l (the operator's :meth:`~.caputo.SubstitutionOperator.kernel`)
-plus its :meth:`~.caputo.SubstitutionOperator.boundary` columns below a_l,
-so no dense row is built.  These rows are solved ``BLOCK_ROWS`` at a time
-(a leaf), in one of two ways.  Where every q_l and p is constant on them,
-every leaf has the same lower-triangular Toeplitz matrix L = pivot I +
-sum_l q_l T_l, and so has its inverse G: G is built once per solve, from the
-forward substitution of L on e_0, and a leaf is y = G c plus one step of
-iterative refinement, y += G (c - L y).  An explicit inverse alone is not
-backward stable at high order (Du Croz & Higham, IMA J. Numer. Anal. 12
-(1992) 1-19); one refinement step restores it (Skeel, Math. Comp. 35 (1980)
-817-832).  Every other leaf is solved by forward substitution, each row one
-dot product of the leaf's Toeplitz block, zero on and above its diagonal,
-with all the leaf's values, the unsolved ones set to zero first.  So are
-the leaves of constant coefficients where they are one leaf, or G is not
-finite or misses the accuracy bound ``SHARED_THETA``, and any shared leaf
-whose values are not finite, solved again so that the error names the
-same first failing row.  Once j leaves are solved, the last w of them, w
-the largest power of two dividing j, add their history to the next w
-leaves through one convolution per term: the divide-and-conquer
-order of Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985)
-532-541, which costs O(M log^2 M) time and O(M) memory.  Their pivots and
-dominance margins are computed for all of them at once, and their rows are
-checked by the row check of :func:`assemble_system`, before any is solved.
-Both parts raise for the first failing row, as :func:`eliminate` over the
-whole system would, and solve no row after it.
+:func:`solve` takes the rows in two parts.  A start block, rows r..S-1 with
+S the largest ``steady`` row of a term (5 for n = 1, 7 for n = 2), is
+assembled densely and eliminated row by row, each row a dot product with
+the values before it and a pivot test against the off-diagonal 1-norm it
+computed when it was built.  A grid of M < B steps, B = r + ``BLOCK_ROWS``
+grown by whole blocks until it passes S, is assembled and eliminated so
+throughout.  On a longer grid, from row S on, row m of term l is
+kappa_l[m - k] in columns k >= a_l (the operator's
+:meth:`~.caputo.SubstitutionOperator.kernel`) plus its
+:meth:`~.caputo.SubstitutionOperator.boundary` columns below a_l, all of
+them from one matrix product, so no dense row is built.  These rows are
+solved ``BLOCK_ROWS`` at a time (a leaf), in one of two ways.  Where every
+q_l and p is constant on them, every leaf has the same lower-triangular
+Toeplitz matrix L = pivot I + sum_l q_l T_l, and so has its inverse G: G is
+built once per solve, from the forward substitution of L on e_0, and a leaf
+is y = G c plus one step of iterative refinement, y += G (c - L y).  An
+explicit inverse alone is not backward stable at high order (Du Croz &
+Higham, IMA J. Numer. Anal. 12 (1992) 1-19); one refinement step restores
+it (Skeel, Math. Comp. 35 (1980) 817-832).  Every other leaf is solved by
+forward substitution, each row one dot product of the leaf's Toeplitz
+block, zero on and above its diagonal, with all the leaf's values, the
+unsolved ones set to zero first.  So are the leaves of constant
+coefficients where they are one leaf, or G is not finite or misses the
+accuracy bound ``SHARED_THETA``, and any shared leaf whose values are not
+finite, solved again so that the error names the same first failing row.
+Once j leaves are solved, the last w of them, w the largest power of two
+dividing j, add their history to the next w leaves through one convolution
+per term: the divide-and-conquer order of Hairer, Lubich & Schlichte, SIAM
+J. Sci. Stat. Comput. 6 (1985) 532-541, which costs O(M log^2 M) time and
+O(M) memory.  Their pivots and dominance margins are computed for all of
+them at once, and their rows are checked by the row check of
+:func:`assemble_system`, before any is solved.  Both parts raise for the
+first failing row, as :func:`eliminate` over the whole system would, and
+solve no row after it.
 
 Accuracy is O(h^(n - alpha + 1)) for smooth solutions, set by the
 trapezoid sum in the substituted variable u = (t - x)^(n - alpha); the
@@ -70,9 +73,10 @@ __all__ = [
 
 # pivots below this fraction of the row 1-norm abort the elimination
 PIVOT_RTOL = 1e-13
-# histories of at most this many rows take np.convolve, longer ones the FFT: on a 2-vCPU
-# Xeon np.convolve took 14 us against the FFT's 42 us at 256 rows, and they tied at 512
-DIRECT_HISTORY = 256
+# histories of at most this many rows take np.convolve, longer ones the FFT: a history of
+# L rows into the next L, on a 2-vCPU Xeon with numpy 2.4.6, took 14.5-17 us against 65-73 us
+# at L = 256, 38-47 us against 57-73 us at 512, and 131-161 us against 84-107 us at 1024
+DIRECT_HISTORY = 512
 # the largest theta = ||I - G L||_inf for which leaves of constant coefficients share the
 # inverse G of their matrix L.  One refinement step leaves about theta^2 of the first guess's
 # error, and theta, the residual of L's own forward substitution, is at most about 64 u times
@@ -181,14 +185,16 @@ def eliminate(rows: Sequence[AssembledRow], prefix: Sequence[float]) -> tuple[np
 
 
 def solve(problem: FDEProblem, h: float, max_rows: int) -> SolveResult:
-    """Solve the problem on the grid 0, h, ..., max_rows*h: the start block
-    by :func:`assemble_system`, :func:`eliminate` and
-    :func:`conditioning.check`, the rows past it as the module describes."""
+    """Solve the problem on the grid 0, h, ..., max_rows*h: the start block,
+    rows r..S-1, or every row of a grid shorter than B, by
+    :func:`assemble_system`, :func:`eliminate` and :func:`conditioning.check`,
+    the rows past it as the module describes."""
     r = problem.order
-    steady = max(SubstitutionOperator(term.alpha, h, 1).steady for term in problem.terms)  # set by the order alone
-    end = r + BLOCK_ROWS * max(1, -(-(steady - r) // BLOCK_ROWS))  # B: the start block is rows r..B-1
-    rows = assemble_system(problem, h, min(max_rows, end - 1))
-    tail = _Tail(problem, h, end, max_rows) if max_rows >= end else None
+    steady = max(SubstitutionOperator(term.alpha, h, 1).steady for term in problem.terms)  # S, set by the order alone
+    end = r + BLOCK_ROWS * max(1, -(-(steady - r) // BLOCK_ROWS))  # B: a grid of M < B steps is solved densely
+    start = steady if max_rows >= end else max_rows + 1  # the dense rows are r..start-1
+    rows = assemble_system(problem, h, start - 1)
+    tail = _Tail(problem, h, start, max_rows) if start <= max_rows else None
     y = eliminate(rows, init_prefix(problem.initial_conditions, h))[0]
     report = conditioning.check(rows)
     coef_bytes, madds = sum(row.d.nbytes for row in rows), sum(row.m for row in rows)
@@ -208,12 +214,14 @@ def solve(problem: FDEProblem, h: float, max_rows: int) -> SolveResult:
 
 
 class _Tail:
-    """Rows b..M of a problem, past its start block, kept as each term's
-    kernel, boundary columns and ``BLOCK_ROWS``-square strictly lower
-    Toeplitz block of a leaf, kappa[i - j] below the diagonal and zero on and
-    above it.  Their data, pivots and norms are evaluated when it is built,
-    in the order of :func:`assemble_system`, and raise through its row check;
-    :meth:`solve` then extends the start block's solution with the checks of
+    """Rows b..M of a problem, from b = S, the first row past its start
+    block, kept as each term's kernel, boundary columns (one matrix product
+    per term, :meth:`~.caputo.SubstitutionOperator.boundary` with ``gemm``)
+    and ``BLOCK_ROWS``-square strictly lower Toeplitz block of a leaf,
+    kappa[i - j] below the diagonal and zero on and above it.  Their data,
+    pivots and norms are evaluated when it is built, in the order of
+    :func:`assemble_system`, and raise through its row check; :meth:`solve`
+    then extends the start block's solution with the checks of
     :func:`eliminate`, up to the first failing row.
 
     Where every q_l and p is constant on the rows, and the rows before the
@@ -231,7 +239,7 @@ class _Tail:
         p, f = _on_rows(problem.p, ms, h), _on_rows(problem.f, ms, h)
         self.ms = np.arange(b, max_rows + 1)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, by its row
-            self.left = [op.boundary(b, q) for op, q in zip(self.ops, self.qs)]
+            self.left = [op.boundary(b, q, gemm=True) for op, q in zip(self.ops, self.qs)]
             d = sum(q * op.kernel()[0] for op, q in zip(self.ops, self.qs))
             # per term |q| times the boundary and prefix sums of |kappa|: exact for one term
             self.offdiag = sum(

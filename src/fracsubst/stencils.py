@@ -7,9 +7,9 @@ which is B.  The second-order stencils take n+2 offsets (n+1 for the
 symmetric central ones of even n) with B = 1 for even n and 2 for odd n,
 which makes their weights integers; ``sum(a_l * y[k+l]) / (B h^n)``
 approximates the n-th derivative at node k with O(h^2) error.  The plain
-n-th difference is any n+1 offsets with B = 1.  The square systems are
-solved in exact rational arithmetic (the float Vandermonde solve is badly
-conditioned already for moderate n).
+n-th difference is any n+1 offsets with B = 1.  The weights are exact
+rationals read off the integer Lagrange basis of the window, since the
+float Vandermonde solve is badly conditioned already for moderate n.
 
 :class:`Stencil` keeps the exact weights and B; B is applied once, when its
 float coefficients a_l / B, which every float reader takes, are made.
@@ -67,33 +67,24 @@ def _norm_denominator(n: int) -> int:
     return 1 if n % 2 == 0 else 2
 
 
-def _solve_rational(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gauss-Jordan elimination over Fractions (exact)."""
-    size = len(rhs)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(size):
-        piv = next(r for r in range(col, size) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col]
-        aug[col] = [v / inv for v in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    return [aug[i][size] for i in range(size)]
-
-
 @cache
 def _window(n: int, lo: int, hi: int, b: int) -> Stencil:
     """The stencil over offsets lo..hi (n <= hi - lo) whose moments 0..hi-lo
-    are all zero except the n-th, which is b."""
+    are all zero except the n-th, which is b: a_l = b n! [x^n] ell_l(x), with
+    ell_l the Lagrange basis polynomial of offset l on the window, whose
+    coefficients are the row of the inverse Vandermonde matrix."""
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"derivative order must be a positive integer, got {n!r}")
     offsets = tuple(range(lo, hi + 1))
-    matrix = [[Fraction(o) ** j for o in offsets] for j in range(len(offsets))]
-    rhs = [Fraction(0)] * len(offsets)
-    rhs[n] = Fraction(math.factorial(n) * b)
-    return Stencil(n, offsets, tuple(_solve_rational(matrix, rhs)), b)
+    weights = []
+    for o in offsets:
+        poly, denom = [1], 1  # prod (x - k) over the other offsets k, ascending powers, and prod (o - k)
+        for k in offsets:
+            if k != o:
+                poly = [c - k * d for c, d in zip([0, *poly], [*poly, 0])]
+                denom *= o - k
+        weights.append(Fraction(b * math.factorial(n) * poly[n], denom))
+    return Stencil(n, offsets, tuple(weights), b)
 
 
 def central(n: int) -> Stencil:

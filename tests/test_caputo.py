@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from fracsubst.assembly import BLOCK_ROWS
 from fracsubst.caputo import (
+    GEMM_ROWS,
     FracOrder,
     Grid,
     SubstitutionOperator,
@@ -435,3 +436,14 @@ def test_boundary_columns_take_steady_rows_only(alpha):
     for m0, rows in ((op.steady - 1, 1), (op.steady, op.size - op.steady + 2), (op.size, 2)):
         with pytest.raises(ValueError, match=rf"rows {m0}\.\.{m0 + rows - 1} are not steady rows {op.steady}\.\.40$"):
             op.boundary(m0, np.ones(rows))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5, 2.5, 4.5])
+def test_boundary_columns_from_one_matrix_product_match_the_row_products(alpha):
+    # the rows the solver takes past its start block, GEMM_ROWS at a time: the same columns to the rounding of a row
+    size = 2 * GEMM_ROWS + 100
+    op = SubstitutionOperator(alpha, 5 / size, size)
+    scale = np.linspace(1.0, 3.0, op.size - op.steady + 1)
+    rows, gemm = op.boundary(op.steady, scale), op.boundary(op.steady, scale, gemm=True)
+    assert gemm.shape == rows.shape
+    assert np.all(np.abs(gemm - rows) <= 1e-15 * np.abs(rows).max(axis=1, keepdims=True))

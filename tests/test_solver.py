@@ -191,20 +191,20 @@ def test_stats_count_the_work_of_a_small_solve():
 
 
 def tail_stats(q):
-    """``solve``'s stats for D^1.5 y + q y = 1 at M = B + 70: dense rows 2..B-1, then a 64-row leaf, a 64-row
-    history into the last 7 rows and a 7-row leaf; the term has a = 4 boundary columns and a kernel of M + 1
-    values"""
-    m = 2 + BLOCK_ROWS + 70
+    """``solve``'s stats for D^1.5 y + q y = 1 at M = S + 70 >= B, S = 7 the term's steady row: dense rows
+    2..S-1, then a 64-row leaf, a 64-row history into the last 7 rows and a 7-row leaf; the term has a = 4
+    boundary columns and a kernel of M + 1 values"""
+    m = 7 + 70
     return dict(solve(FDEProblem((DerivativeTerm(1.5, parse(q)),), ONE, ONE, (0.0, 0.0)), 5.0 / m, m).stats)
 
 
 def tail_counts():
     """the counts of ``tail_stats`` less those of the leaves: (M, coef_bytes, madds)"""
-    b = 2 + BLOCK_ROWS
-    m, a, tail = b + 70, 4, 71
-    dense = range(2, b)
+    s, a, tail = 7, 4, 71
+    m = s + 70
+    dense = range(2, s)
     coef_bytes = 8 * sum(k + 1 for k in dense) + 8 * (m + 1) + 8 * tail * a + 8 * BLOCK_ROWS**2
-    history = (b - a) * tail + BLOCK_ROWS * 7  # y_a..y_(b-1) into every tail row, then leaf 1 into the rest
+    history = (s - a) * tail + BLOCK_ROWS * 7  # y_a..y_(S-1) into every tail row, then leaf 1 into the rest
     return m, coef_bytes, sum(dense) + tail * a + history
 
 
@@ -258,7 +258,7 @@ def test_singular_pivot_past_the_start_block():
 def test_non_finite_data_past_the_start_block_is_a_domain_error():
     problem = FDEProblem((DerivativeTerm(1.5, ONE),), ONE, parse("1/(x-3)"), (0.0, 0.0))
     with pytest.raises(DomainError, match=r"is not finite at x=3\.0 "):
-        solve(problem, 1.0 / 32, 128)  # x = 3 is row 96; the start block is rows 2..65
+        solve(problem, 1.0 / 32, 128)  # x = 3 is row 96; the start block is rows 2..6
 
 
 def test_overflowing_elimination_names_the_first_non_finite_row():
@@ -271,7 +271,7 @@ def test_overflowing_elimination_names_the_first_non_finite_row():
 
 @pytest.mark.parametrize("f", ["1e305", "1e306", "1e307"])
 def test_histories_near_the_float_limit_overflow_where_the_dense_elimination_does(f):
-    # y rises to 0.77 f: the FFT histories of 512 rows must not overflow before the direct sums do,
+    # y rises to 0.77 f: the FFT history of 1024 rows must not overflow before the direct sums do,
     # and at f = 1e306 the leaf products come within about 10x of the float limit; at 1e307 the
     # shared leaves' products overflow from row 833 on, and the row leaf solves them again
     problem = FDEProblem((DerivativeTerm(0.5, ONE),), ONE, parse(f), (0.0,))
@@ -304,12 +304,14 @@ def test_a_near_zero_pivot_overflows_at_the_same_row_on_both_paths(eps, row):
     "q, f, row",
     [
         ("1e-10*(x-1)", parse("1e308"), 1),  # y_1 overflows; the zero pivot at row 128 is past the start block
-        ("1e-10*(x-0.234375)", parse("1e308"), 1),  # y_1 overflows before the zero pivot at row 30
+        ("1e-10*(x-0.0234375)", parse("1e308"), 1),  # y_1 overflows before the zero pivot at row 3
         ("1e-10*(x-1)", lambda x: 1e308 if x >= 100 / 128 else 1.0, 100),  # y_100 overflows before row 128
+        ("1e-10*(x-1)", lambda x: 1e308 if x >= 5 / 128 else 1.0, 5),  # y_5 overflows, the first row past it
     ],
-    ids=["crosses-the-paths", "start-block-only", "tail-only"],
+    ids=["crosses-the-paths", "start-block-only", "tail-only", "first-tail-row"],
 )
 def test_both_row_paths_raise_for_the_first_failing_row(q, f, row):
+    # the start block of D^0.5 is rows 1..4: the term's steady row is S = 5
     problem = FDEProblem((DerivativeTerm(0.5, parse(q)),), ZERO, f, (0.0,))
     for run in (dense_solve, solve):
         with pytest.raises(NonFiniteSolutionError, match=rf"^solution is not finite from row {row} on ") as info:
@@ -331,7 +333,8 @@ def test_overflowing_assembled_row_is_an_overflow_error_naming_the_row():
             build(problem, 2.0**-10, 2**11)
 
 
-@pytest.mark.parametrize("row, big", [(5, 10), (80, 90)])  # in the start block, rows 1..64, and past it
+# in the start block, rows 1..4; from the first row past it, S = 5; and past it
+@pytest.mark.parametrize("row, big", [(2, 4), (5, 10), (80, 90)])
 def test_non_finite_data_is_a_value_error_before_a_later_overflow(row, big):
     # p is NaN at row `row`, and from row `big` on q = 1e308, whose products overflow
     problem = FDEProblem(
@@ -345,7 +348,7 @@ def test_non_finite_data_is_a_value_error_before_a_later_overflow(row, big):
             build(problem, 1 / 32, 128)
 
 
-@pytest.mark.parametrize("row", [10, 100])
+@pytest.mark.parametrize("row", [3, 10, 100])  # the start block is rows 1..4
 def test_a_non_finite_coefficient_is_a_value_error_naming_its_row(row):
     problem = FDEProblem(
         (DerivativeTerm(0.5, lambda t: math.nan if t == row / 32 else 1.0),), lambda t: 1.0, lambda t: 1.0, (0.0,)
@@ -394,14 +397,21 @@ def dense_solve(problem, h, m):
 SHARED_LEAF_BYTES = 2 * 8 * BLOCK_ROWS**2
 
 
+def start_rows(problem, h, m):
+    """(S, B) for order n <= 2: a grid of M >= B = r + 64 steps has the dense start block r..S-1, S the
+    largest steady row of a term, and a shorter one is dense throughout"""
+    return max(SubstitutionOperator(term.alpha, h, m).steady for term in problem.terms), problem.order + BLOCK_ROWS
+
+
 def shared_leaf_bytes(problem, h, m, result):
-    """``result``'s coef_bytes less those of the row leaf for order n <= 2: the dense rows r..B-1 and,
-    past them, each term's kernel, boundary columns and leaf block"""
-    start = problem.order + BLOCK_ROWS
-    held = 8 * sum(k + 1 for k in range(problem.order, min(m, start - 1) + 1))
-    if m >= start:
+    """``result``'s coef_bytes less those of the row leaf for order n <= 2: the dense rows and, past them,
+    each term's kernel, boundary columns and leaf block"""
+    steady, end = start_rows(problem, h, m)
+    first = steady if m >= end else m + 1  # the first row past the dense ones
+    held = 8 * sum(k + 1 for k in range(problem.order, first))
+    if m >= end:
         ops = [SubstitutionOperator(term.alpha, h, m) for term in problem.terms]
-        held += sum(op.kernel().nbytes + 8 * (m - start + 1) * op.a + 8 * BLOCK_ROWS**2 for op in ops)
+        held += sum(op.kernel().nbytes + 8 * (m - first + 1) * op.a + 8 * BLOCK_ROWS**2 for op in ops)
     return result.stats["coef_bytes"] - held
 
 
@@ -427,18 +437,19 @@ SHARED_LEAF = {"0.5", "1.5", "two-term", "two-term-p"}
 
 @pytest.mark.parametrize("name", list(agreement_problems()))
 def test_solve_matches_the_dense_elimination(name):
-    # the start block is rows r..B-1, B = r + 64, for every order n <= 2
+    # a grid of M < B = r + 64 steps is dense, a longer one has the dense start block r..S-1 for n <= 2
     problem = agreement_problems()[name]
-    start = problem.order + BLOCK_ROWS
-    for m in (start - 1, start, start + 1, 200, 2**11):
+    end = problem.order + BLOCK_ROWS
+    for m in (end - 1, end, end + 1, 200, 2**11):
         h = 5.0 / m
         y, pivot_min = dense_solve(problem, h, m)
         result = solve(problem, h, m)
         assert np.max(np.abs(result.y - y)) <= 1e-10 * np.max(np.abs(y)), m
         assert result.pivot_min == pivot_min, m
-        if m < start:
+        if m < end:
             assert np.array_equal(result.y, y), m
-        shared = name in SHARED_LEAF and m - start >= BLOCK_ROWS  # a tail of one leaf keeps the row leaf
+        steady = start_rows(problem, h, m)[0]
+        shared = name in SHARED_LEAF and m >= end and m - steady >= BLOCK_ROWS  # a tail of one leaf keeps the row leaf
         assert shared_leaf_bytes(problem, h, m, result) == (SHARED_LEAF_BYTES if shared else 0), m
         # the norms past the start block: exact for one term, a bound for several
         dense = [row.offdiag for row in assemble_system(problem, h, m)] if m <= 200 else []
@@ -470,8 +481,9 @@ def test_solve_matches_the_dense_elimination_for_random_problems(alpha, a, b, p,
     assert np.max(np.abs(result.y - y)) <= 1e-10 * np.max(np.abs(y))
     assert result.pivot_min == pivot_min
     # q constant on the rows past the start block, in floats, and those rows more than one leaf
-    q_tail = q(np.arange(n + BLOCK_ROWS, m + 1) * h)
-    shared = m - n - BLOCK_ROWS >= BLOCK_ROWS and np.all(q_tail == q_tail[0])
+    steady, end = start_rows(problem, h, m)
+    q_tail = q(np.arange(steady, m + 1) * h)
+    shared = m >= end and m - steady >= BLOCK_ROWS and np.all(q_tail == q_tail[0])
     assert shared_leaf_bytes(problem, h, m, result) == (SHARED_LEAF_BYTES if shared else 0)
 
 
