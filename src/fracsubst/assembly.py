@@ -29,11 +29,11 @@ data (each q_l, p and f), its norm and its diagonal raises ``ValueError``
 if its data is not finite, else ``OverflowError`` (finite data whose
 products overflow), naming the row.
 
-Rows are dense.  They serve :func:`assemble_system` and the ``assemble``
-and ``condition`` commands of the CLI, and the start block of
-:func:`~.solver.solve`: every row of a grid shorter than r + ``BLOCK_ROWS``
+Rows are dense.  They serve :func:`assemble_system`, the CLI's ``assemble``
+command and the start block of :func:`~.solver.solve` and of the report
+``condition`` prints: every row of a grid shorter than r + ``BLOCK_ROWS``
 steps, else the rows below the terms' ``steady`` rows (4 rows for n = 1, 5
-for n = 2), past which it solves the rows from each operator's kernel and
+for n = 2), past which they read the rows from each operator's kernel and
 boundary columns without building them.  A system takes exactly
 8 sum_m (m+1) bytes of coefficients, the upper-triangle padding of its
 blocks (8 k(k-1)/2 bytes for a block of k rows) and the |block| temporary

@@ -189,9 +189,8 @@ class SubstitutionOperator:
         self._gamma = math.gamma(self.n + 1 - self.alpha)
         st = central(self.n)
         self._central = [(o, a) for o, a in zip(st.offsets, st.coefficients()) if a]
-        n2 = (self.n + 1) // 2
-        self.a = n2 + self.n + 1
-        self.steady = self.a + n2 + self.n
+        self.a = (self.n + 1) // 2 + self.n + 1
+        self.steady = _steady_row(self.n)
         self._kernel: np.ndarray | None = None  # row `size` at scale 1, reversed; built by the first steady row
         self._block: np.ndarray | None = None
 
@@ -344,6 +343,11 @@ class SubstitutionOperator:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, by its row
             values = self._trapezoid(g, 1)
         return _finite_rows(values, 1, "the n-th derivative")
+
+
+def _steady_row(n: int) -> int:
+    """2 ceil(n/2) + 2n + 1: the first row of an order-n operator past its start-up rows, ``steady``."""
+    return 2 * ((n + 1) // 2) + 2 * n + 1
 
 
 def _lower_toeplitz(kernel: np.ndarray, size: int) -> np.ndarray:

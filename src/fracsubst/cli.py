@@ -27,8 +27,8 @@ one ``error:`` line for a ``ValueError`` (usage, config or argument error,
 non-finite initial conditions, calibration values or oracle parameters
 among them) or an ``OSError`` (unreadable config, unwritable output); 2 and
 one ``numerical failure:`` line for an ``ArithmeticError`` (non-finite data,
-an overflowing row, solution or calibration rescale, a singular pivot); 2
-and ``out of memory:`` for a dense system larger than physical memory.
+an overflowing row, solution or calibration rescale, a singular pivot); 2 and
+``out of memory:`` where the dense system of ``assemble`` exceeds physical memory.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import conditioning, oracles, solver, stencils
+from . import oracles, solver, stencils
 from .assembly import DerivativeTerm, FDEProblem, assemble_row, assemble_system
 from .caputo import SubstitutionOperator
 from .expr import ParseError, parse
@@ -228,7 +228,7 @@ def _cmd_stencil(args) -> int:
 
 def _cmd_condition(args) -> int:
     _, problem, h, _, max_rows = _load_problem(args)
-    report = conditioning.check(assemble_system(problem, h, max_rows))
+    report = solver.report(problem, h, max_rows)
     print(f"rows checked: {report.rows.size} (m={report.rows[0]}..{report.rows[-1]})")
     print(f"delta (min margin): {_fmt(report.delta)}")
     print(f"satisfied: {report.satisfied}")

@@ -34,7 +34,8 @@ class ConditioningReport:
     satisfied report stays sound.  delta is the smallest margin and the
     report is satisfied iff delta > 0.  ``alt_a`` and ``alt_b`` are the
     constants of the alternative sufficient condition (relative margin and
-    row scale); whenever both are positive, delta >= alt_a * alt_b.
+    row scale); whenever both are positive, delta >= alt_a * alt_b.  The report
+    :func:`~.solver.solve` attaches is the one ``condition`` prints.
     """
 
     rows: np.ndarray      # row indices m

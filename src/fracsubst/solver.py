@@ -57,7 +57,7 @@ import numpy as np
 
 from . import conditioning
 from .assembly import BLOCK_ROWS, AssembledRow, FDEProblem, _check_rows, _on_rows, assemble_system
-from .caputo import Grid, SubstitutionOperator, _lower_toeplitz
+from .caputo import Grid, SubstitutionOperator, _lower_toeplitz, _steady_row
 
 __all__ = [
     "SolveResult",
@@ -66,6 +66,7 @@ __all__ = [
     "init_prefix",
     "eliminate",
     "solve",
+    "report",
     "calibrate",
     "convergence_study",
     "ConvergenceLevel",
@@ -185,32 +186,41 @@ def eliminate(rows: Sequence[AssembledRow], prefix: Sequence[float]) -> tuple[np
 
 
 def solve(problem: FDEProblem, h: float, max_rows: int) -> SolveResult:
-    """Solve the problem on the grid 0, h, ..., max_rows*h: the start block,
-    rows r..S-1, or every row of a grid shorter than B, by
-    :func:`assemble_system`, :func:`eliminate` and :func:`conditioning.check`,
-    the rows past it as the module describes."""
+    """Solve the problem on the grid 0, h, ..., max_rows*h: the start block by :func:`assemble_system`,
+    :func:`eliminate` and :func:`conditioning.check`, the rows past it as the module describes."""
+    rows, tail, certificate = _system(problem, h, max_rows)
+    y = eliminate(rows, init_prefix(problem.initial_conditions, h))[0]
+    coef_bytes, madds = sum(row.d.nbytes for row in rows), sum(row.m for row in rows)
+    if tail is not None:
+        y = tail.solve(y)
+        coef_bytes, madds = coef_bytes + tail.coef_bytes, madds + tail.madds
+    y.flags.writeable = False
+    checked = int(certificate.rows.size)
+    stats = MappingProxyType({"rows": checked, "coef_bytes": coef_bytes, "madds": madds, "rows_checked": checked})
+    pivot_min = float(np.min(certificate.diag))
+    return SolveResult(Grid.uniform_grid(h, max_rows), y, certificate, pivot_min, (problem.order,), stats)
+
+
+def report(problem: FDEProblem, h: float, max_rows: int) -> conditioning.ConditioningReport:
+    """The report that :func:`solve` attaches, from the same rows, unsolved: O(M) memory."""
+    return _system(problem, h, max_rows)[2]
+
+
+def _system(
+    problem: FDEProblem, h: float, max_rows: int
+) -> tuple[list[AssembledRow], _Tail | None, conditioning.ConditioningReport]:
+    """:func:`solve`'s rows, unsolved: the start block, the :class:`_Tail` (None if M < B), the report."""
     r = problem.order
-    steady = max(SubstitutionOperator(term.alpha, h, 1).steady for term in problem.terms)  # S, set by the order alone
+    steady = max(_steady_row(term.n) for term in problem.terms)  # S
     end = r + BLOCK_ROWS * max(1, -(-(steady - r) // BLOCK_ROWS))  # B: a grid of M < B steps is solved densely
     start = steady if max_rows >= end else max_rows + 1  # the dense rows are r..start-1
     rows = assemble_system(problem, h, start - 1)
     tail = _Tail(problem, h, start, max_rows) if start <= max_rows else None
-    y = eliminate(rows, init_prefix(problem.initial_conditions, h))[0]
-    report = conditioning.check(rows)
-    coef_bytes, madds = sum(row.d.nbytes for row in rows), sum(row.m for row in rows)
-    if tail is not None:
-        y = tail.solve(y)
-        report = conditioning.build_report(
-            np.concatenate((report.rows, tail.ms)),
-            np.concatenate((report.diag, tail.diag)),
-            np.concatenate((report.offdiag, tail.offdiag)),
-        )
-        coef_bytes, madds = coef_bytes + tail.coef_bytes, madds + tail.madds
-    y.flags.writeable = False
-    checked = int(report.rows.size)
-    stats = MappingProxyType({"rows": checked, "coef_bytes": coef_bytes, "madds": madds, "rows_checked": checked})
-    pivot_min = float(np.min(report.diag))
-    return SolveResult(Grid.uniform_grid(h, max_rows), y, report, pivot_min, (problem.order,), stats)
+    head = conditioning.check(rows)
+    if tail is None:
+        return rows, None, head
+    parts = [(head.rows, tail.ms), (head.diag, tail.diag), (head.offdiag, tail.offdiag)]
+    return rows, tail, conditioning.build_report(*map(np.concatenate, parts))
 
 
 class _Tail:

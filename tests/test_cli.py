@@ -424,8 +424,8 @@ def test_oracle_errors_print_plain_floats(capsys):
 
 
 def test_system_too_large_for_memory_exits_two(capsys):
-    # `condition` reads the dense rows, which `solve` builds for its start block only
+    # `assemble` writes the dense rows, which `solve` and `condition` build for their start block only
     fig1 = Path(__file__).resolve().parents[1] / "demos" / "fig1.cfg"
-    assert main(["condition", "--config", str(fig1), "--h", "1e-6"]) == 2
+    assert main(["assemble", "--config", str(fig1), "--h", "1e-6"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("out of memory: ") and "M=5000000" in err and err.count("\n") == 1

@@ -1,11 +1,17 @@
 """The demo scripts and configs run to completion, without a traceback or a numpy warning."""
 
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from fracsubst import solver
+from fracsubst.cli import build_problem, main, parse_config
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
@@ -52,3 +58,24 @@ def test_demo_config_solves_clean(name, nodes, tmp_path):
     assert len(table) == nodes
     for t, pin in zip((1.0, 2.5, 5.0), FIG_PINS.get(name, ())):
         assert table[t] == pytest.approx(pin, rel=1e-9), t
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4", "fig5"])
+def test_condition_prints_the_certificate_that_solve_attaches(name, tmp_path, capsys):
+    config = DEMOS / f"{name}.cfg"
+    assert main(["condition", "--config", str(config)]) == 0
+    printed = capsys.readouterr().out
+    assert main(["solve", "--config", str(config), "--out", str(tmp_path / "y.csv")]) == 0
+    solved = capsys.readouterr().err
+    cfg = parse_config(config.read_text())
+    problem, m = build_problem(cfg), round(cfg.t_end / cfg.h)
+    rows = int(re.search(r"^rows checked: (\d+) ", printed, re.M)[1])
+    delta = re.search(r"^delta \(min margin\): (\S+)$", printed, re.M)[1]
+    satisfied = re.search(r"^satisfied: (\w+)$", printed, re.M)[1]
+    assert rows == m + 1 - problem.order
+    assert solved.startswith(f"solved {m + 1} nodes; conditioning satisfied={satisfied} delta={delta};"), solved
+
+    # the rows of fig5's calibration differ from the problem's in the initial data alone
+    certificate, attached = solver.report(problem, cfg.h, m), solver.solve(problem, cfg.h, m).report
+    for field in fields(certificate):
+        assert np.array_equal(getattr(certificate, field.name), getattr(attached, field.name)), field.name

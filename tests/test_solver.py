@@ -16,6 +16,7 @@ from fracsubst.solver import (
     convergence_study,
     eliminate,
     init_prefix,
+    report,
     solve,
 )
 
@@ -499,14 +500,17 @@ def test_solve_above_order_two_is_as_close_to_the_oracle_as_the_dense_eliminatio
     assert abs(got - dense) <= 0.05 * dense, (got, dense)
 
 
+def memory_problem(name):
+    if name == "relaxation":
+        return FDEProblem((DerivativeTerm(1.5, ONE),), ONE, ONE, (0.0, 0.0))
+    bessel = homogeneous_bessel()
+    return FDEProblem(bessel.terms, bessel.p, ONE, (0.0, 1.0))
+
+
 @pytest.mark.parametrize("name", ["relaxation", "bessel"])
 def test_solve_memory_grows_linearly(name):
     # the dense rows of M = 2^16 would take 8 (M + 1)(M + 2) / 2 bytes, about 256 KiB per row
-    if name == "relaxation":
-        problem = FDEProblem((DerivativeTerm(1.5, ONE),), ONE, ONE, (0.0, 0.0))
-    else:
-        bessel = homogeneous_bessel()
-        problem = FDEProblem(bessel.terms, bessel.p, ONE, (0.0, 1.0))
+    problem = memory_problem(name)
     m = 2**16
     solve(problem, 5.0 / 256, 256)  # stencil caches and imports, outside the count
     tracemalloc.start()
@@ -516,3 +520,18 @@ def test_solve_memory_grows_linearly(name):
     finally:
         tracemalloc.stop()
     assert np.all(np.isfinite(result.y)) and peak < 512 * m, peak / m
+
+
+@pytest.mark.parametrize("name", ["relaxation", "bessel"])
+def test_report_memory_grows_linearly(name):
+    # the certificate of `condition` reads the rows of `solve`, not the dense system of about 256 KiB per row
+    problem = memory_problem(name)
+    m = 2**16
+    report(problem, 5.0 / 256, 256)  # stencil caches and imports, outside the count
+    tracemalloc.start()
+    try:
+        certificate = report(problem, 5.0 / m, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert certificate.rows.size == m + 1 - problem.order and peak < 512 * m, peak / m
