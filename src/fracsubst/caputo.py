@@ -158,7 +158,7 @@ class SubstitutionOperator:
     columns below a are :meth:`boundary`, a fixed block times the
     coefficients of nodes 0..J, J = a - 1 + ceil(n/2).  :meth:`rows` returns
     any run of consecutive rows as one new block, scattering those below
-    ``steady`` node by node and reading the rest from these two.
+    ``steady`` node by node and reading the rest from the kernel and the block.
     :meth:`quadrature` convolves ``weights`` with the trapezoid pairs of
     samples of f^(n).  :meth:`apply_rows` takes samples of f, stencils
     first: as every edge stencil is the same from row n + 1 on, those rows
@@ -203,7 +203,8 @@ class SubstitutionOperator:
         the block.  In the others column k >= a is kappa[m - k], so those
         columns of all the rows are one Toeplitz view of the kernel
         (zero-padded on the left) times the scales, and the columns below a
-        are :meth:`boundary`.  No stencil function is called for them."""
+        are one batched matmul of per-row products, block times
+        :meth:`_coefficients`.  No stencil function is called for them."""
         rows = scale.size
         b1 = b0 + rows
         if not (self.n <= b0 and b1 <= self.size + 1):
@@ -215,9 +216,10 @@ class SubstitutionOperator:
             self._scatter(b0 + i, scale[i], out[i])
         if k == rows:
             return out
-        s0, a = b0 + k, self.a
-        out[k:, :a] = self.boundary(s0, scale[k:])
-        np.multiply(_lower_toeplitz(self.kernel(), b1 - a)[s0 - a :], scale[k:, None], out=out[k:, a:])
+        s0, a, kernel = b0 + k, self.a, self.kernel()
+        left = np.matmul(self._block, self._coefficients(s0, rows - k)[:, :, None])[:, :, 0]
+        np.multiply(left, (scale[k:] / (2.0 * self._gamma))[:, None], out=out[k:, :a])
+        np.multiply(_lower_toeplitz(kernel, b1 - a)[s0 - a :], scale[k:, None], out=out[k:, a:])
         return out
 
     def kernel(self) -> np.ndarray:
@@ -227,32 +229,30 @@ class SubstitutionOperator:
             self._build_steady()
         return self._kernel
 
-    def boundary(self, m0: int, scale: np.ndarray, gemm: bool = False) -> np.ndarray:
+    def boundary(self, m0: int, scale: np.ndarray) -> np.ndarray:
         """``scale[i]`` times columns 0..a-1 of row m = m0 + i (steady <= m0,
-        m0 + len(scale) <= size + 1), a new (len(scale), a) array: the block
-        times [weights[m], pair[m-1], ..., pair[m-J+1]], one matrix-vector
-        product per row in a single batched matmul, which sums in the same
-        order as a lone product would.  With ``gemm`` they are one matrix
-        product per ``GEMM_ROWS`` rows, an order of magnitude faster on long
-        runs of rows, whose sums may round apart from a lone product's in the
-        last bit."""
+        m0 + len(scale) <= size + 1), a new (len(scale), a) array: the
+        :meth:`_coefficients` of the rows times the block, one matrix product
+        per ``GEMM_ROWS`` rows.  Its sums may round apart from :meth:`rows`'
+        per-row products in the last bit."""
         rows = scale.size
         if not (self.steady <= m0 and m0 + rows <= self.size + 1):
             raise ValueError(f"rows {m0}..{m0 + rows - 1} are not steady rows {self.steady}..{self.size}")
-        if self._block is None:
-            self._build_steady()
+        self.kernel()  # builds the block
+        left = np.empty((rows, self.a))
+        for i in range(0, rows, GEMM_ROWS):
+            np.matmul(self._coefficients(m0 + i, min(GEMM_ROWS, rows - i)), self._block.T, out=left[i : i + GEMM_ROWS])
+        left *= (scale / (2.0 * self._gamma))[:, None]
+        return left
+
+    def _coefficients(self, m0: int, rows: int) -> np.ndarray:
+        """[weights[m], pair[m-1], ..., pair[m-J]], the trapezoid weights of
+        nodes 0..J in steady row m, for m = m0..m0+rows-1: a new (rows, J+1) array."""
         jn = self._block.shape[1]
         coef = np.empty((rows, jn))
         coef[:, 0] = self.weights[m0 : m0 + rows]
         coef[:, 1:] = sliding_window_view(self._pair, jn - 1)[m0 - jn + 1 : m0 + rows - jn + 1, ::-1]
-        if gemm:
-            left = np.empty((rows, self.a))
-            for i in range(0, rows, GEMM_ROWS):
-                np.matmul(coef[i : i + GEMM_ROWS], self._block.T, out=left[i : i + GEMM_ROWS])
-        else:
-            left = np.matmul(self._block, coef[:, :, None])[:, :, 0]
-        left *= (scale / (2.0 * self._gamma))[:, None]
-        return left
+        return coef
 
     def _build_steady(self) -> None:
         """The kernel, row ``size`` by the scatter read from its diagonal

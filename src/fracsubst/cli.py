@@ -12,6 +12,8 @@ Problems are read from flat key-value config files::
     t_end = 1
     calibrate = 1e-4, 1.0, 0.1267686388    # optional: epsilon, t*, u*
 
+Every key but ``term`` may appear once: a repeat is a usage error naming its line.
+
 CSV output has a header row and '\n' line endings.  Floats are written in
 their shortest round-trip form (``repr``), so ``float()`` of a field gives
 back the computed double exactly; integer columns (row and column indices)
@@ -98,15 +100,16 @@ def _strip_comment(line: str) -> str:
     return "".join(out)
 
 
-def _unquote(text: str, where: str) -> str:
+def _unquote(text: str) -> str:
     text = text.strip()
     if len(text) < 2 or text[0] != '"' or text[-1] != '"':
-        raise UsageError(f"{where}: expression must be double-quoted, got {text!r}")
+        raise ValueError(f"expression must be double-quoted, got {text!r}")
     return text[1:-1]
 
 
 def parse_config(text: str) -> ProblemConfig:
     cfg = ProblemConfig()
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
         if not line:
@@ -116,15 +119,17 @@ def parse_config(text: str) -> ProblemConfig:
         key, _, value = line.partition("=")
         key = key.strip().lower()
         value = value.strip()
-        where = f"line {lineno} ({key})"
         try:
+            if key in seen and key != "term":
+                raise ValueError("repeated key")
+            seen.add(key)
             if key == "term":
                 alpha_text, _, expr_text = value.partition(",")
-                cfg.terms.append((float(alpha_text), _unquote(expr_text, where)))
+                cfg.terms.append((float(alpha_text), _unquote(expr_text)))
             elif key == "p":
-                cfg.p = _unquote(value, where)
+                cfg.p = _unquote(value)
             elif key == "f":
-                cfg.f = _unquote(value, where)
+                cfg.f = _unquote(value)
             elif key == "ic":
                 cfg.ics = [float(v) for v in value.split(",")]
             elif key == "h":
@@ -135,9 +140,9 @@ def parse_config(text: str) -> ProblemConfig:
                 eps, t_star, u_star = (float(v) for v in value.split(","))
                 cfg.calibrate = (eps, t_star, u_star)
             else:
-                raise UsageError(f"{where}: unknown key")
+                raise ValueError("unknown key")
         except ValueError as exc:
-            raise UsageError(f"{where}: {exc}") from exc
+            raise UsageError(f"line {lineno} ({key}): {exc}") from exc
     if not cfg.terms:
         raise UsageError("config defines no derivative terms")
     return cfg

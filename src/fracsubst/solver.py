@@ -14,7 +14,7 @@ throughout.  On a longer grid, from row S on, row m of term l is
 kappa_l[m - k] in columns k >= a_l (the operator's
 :meth:`~.caputo.SubstitutionOperator.kernel`) plus its
 :meth:`~.caputo.SubstitutionOperator.boundary` columns below a_l, all of
-them from one matrix product, so no dense row is built.  These rows are
+them from one call, so no dense row is built.  These rows are
 solved ``BLOCK_ROWS`` at a time (a leaf), in one of two ways.  Where every
 q_l and p is constant on them, every leaf has the same lower-triangular
 Toeplitz matrix L = pivot I + sum_l q_l T_l, and so has its inverse G: G is
@@ -49,7 +49,7 @@ derivatives at the origin and converge more slowly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -225,8 +225,8 @@ def _system(
 
 class _Tail:
     """Rows b..M of a problem, from b = S, the first row past its start
-    block, kept as each term's kernel, boundary columns (one matrix product
-    per term, :meth:`~.caputo.SubstitutionOperator.boundary` with ``gemm``)
+    block, kept as each term's kernel, boundary columns
+    (:meth:`~.caputo.SubstitutionOperator.boundary`, all rows in one call)
     and ``BLOCK_ROWS``-square strictly lower Toeplitz block of a leaf,
     kappa[i - j] below the diagonal and zero on and above it.  Their data,
     pivots and norms are evaluated when it is built, in the order of
@@ -236,11 +236,11 @@ class _Tail:
 
     Where every q_l and p is constant on the rows, and the rows before the
     first failing pivot span more than one leaf, ``shared`` holds the one
-    leaf matrix L and its inverse G of :meth:`_shared_inverse`, and each leaf
-    is :meth:`_shared_leaf`.  The row leaf, :meth:`_leaf`, serves (a)
-    variable coefficients, (b) a G that is not finite or whose theta exceeds
-    ``SHARED_THETA``, and (c) a shared leaf whose values are not finite,
-    solved again to name its first failing row."""
+    leaf matrix L and its inverse G of :meth:`_shared_inverse`.  One method,
+    :meth:`_leaf`, solves every leaf: from G where ``shared`` holds it, by
+    forward substitution for variable coefficients, for a G that is not
+    finite or whose theta exceeds ``SHARED_THETA``, and for a shared leaf
+    whose values are not finite, to name its first failing row."""
 
     def __init__(self, problem: FDEProblem, h: float, b: int, max_rows: int):
         ms = range(b, max_rows + 1)
@@ -249,7 +249,7 @@ class _Tail:
         p, f = _on_rows(problem.p, ms, h), _on_rows(problem.f, ms, h)
         self.ms = np.arange(b, max_rows + 1)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, by its row
-            self.left = [op.boundary(b, q, gemm=True) for op, q in zip(self.ops, self.qs)]
+            self.left = [op.boundary(b, q) for op, q in zip(self.ops, self.qs)]
             d = sum(q * op.kernel()[0] for op, q in zip(self.ops, self.qs))
             # per term |q| times the boundary and prefix sums of |kappa|: exact for one term
             self.offdiag = sum(
@@ -278,7 +278,6 @@ class _Tail:
         b, stop, total = int(self.ms[0]), self.stop, int(self.ms[-1]) + 1
         y = np.empty(total)
         y[:b] = y0
-        leaf = self._leaf if self.shared is None else self._shared_leaf
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, by its row
             c = self.f.copy()  # f_m less the part of row m's sum known so far
             for op, q, left in zip(self.ops, self.qs, self.left):
@@ -287,7 +286,7 @@ class _Tail:
                 self.madds += left.size
             for j in range(-(-(stop - b) // BLOCK_ROWS)):
                 lo, hi = b + j * BLOCK_ROWS, min(b + (j + 1) * BLOCK_ROWS, stop)
-                leaf(y, c, lo, hi)
+                self._leaf(y, c, lo, hi)
                 if hi == stop:
                     break
                 # the last w leaves, w the largest power of two dividing j + 1, add their history to the next w
@@ -300,13 +299,22 @@ class _Tail:
         return y
 
     def _leaf(self, y: np.ndarray, c: np.ndarray, lo: int, hi: int) -> None:
-        """Rows lo..hi-1 by forward substitution (:func:`_substitute`), row i
-        one dot product with all the leaf's values, which is faster than
-        slicing it to the values before i: its zero diagonal and upper part
-        meet the unsolved values, set to zero first, so that they add exact
-        zeros even where the memory held something not finite.  The leaf of
-        variable coefficients, and of constant ones that cannot share G."""
+        """Rows lo..hi-1: where ``shared`` holds (L, G), y = G c plus one
+        refinement step, y += G (c - L y), with their leading blocks.  Else, or
+        where those values are not finite, forward substitution
+        (:func:`_substitute`), which names the first failing row, each row one
+        dot product with all the leaf's values, faster than slicing them: the
+        zero diagonal and upper part meet the unsolved values, set to zero
+        first, so that they add exact zeros even where memory held inf or nan."""
         at, n = slice(lo - self.ms[0], hi - self.ms[0]), hi - lo
+        if self.shared is not None:
+            lower, inverse = (t[:n, :n] for t in self.shared)
+            ys = inverse @ c[at]
+            ys += inverse @ (c[at] - lower @ ys)
+            y[lo:hi] = ys
+            self.madds += 3 * n * (n + 1) // 2
+            if np.all(np.isfinite(ys)):
+                return
         block = sum(q[at, None] * t[:n, :n] for q, t in zip(self.qs, self.leaf))
         ys = y[lo:hi]
         _substitute(block, c[at].tolist(), self.pivot[at].tolist(), ys)
@@ -335,21 +343,6 @@ class _Tail:
         if not (np.all(np.isfinite(g)) and theta <= SHARED_THETA):
             return None
         return lower, _lower_toeplitz(g, n).copy()
-
-    def _shared_leaf(self, y: np.ndarray, c: np.ndarray, lo: int, hi: int) -> None:
-        """Rows lo..hi-1 as y = G c plus one refinement step, y += G (c - L y),
-        with G and L the leading blocks of :meth:`_shared_inverse`'s; a leaf
-        whose values are not finite is solved again by :meth:`_leaf`, which
-        names its first failing row."""
-        n = hi - lo
-        lower, inverse = (t[:n, :n] for t in self.shared)
-        rhs = c[lo - self.ms[0] : hi - self.ms[0]]
-        ys = inverse @ rhs
-        ys += inverse @ (rhs - lower @ ys)
-        y[lo:hi] = ys
-        self.madds += 3 * n * (n + 1) // 2
-        if not np.all(np.isfinite(ys)):
-            self._leaf(y, c, lo, hi)
 
     def _history(self, x: np.ndarray, kernel: np.ndarray, count: int) -> np.ndarray:
         """sum_j x_j kernel[L + i - j], i = 0..count-1, L = len(x): what the L
@@ -419,7 +412,7 @@ def calibrate(
     if bad.size:
         raise OverflowError(f"rescaling to u*={u_star!r} overflows: the solution is not finite at node {bad[0]}")
     y.flags.writeable = False
-    return SolveResult(base.grid, y, base.report, base.pivot_min, base.degraded_rows, base.stats)
+    return replace(base, y=y)
 
 
 class ConvergenceLevel(NamedTuple):

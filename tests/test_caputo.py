@@ -440,10 +440,12 @@ def test_boundary_columns_take_steady_rows_only(alpha):
 
 @pytest.mark.parametrize("alpha", [0.5, 1.5, 2.5, 4.5])
 def test_boundary_columns_from_one_matrix_product_match_the_row_products(alpha):
-    # the rows the solver takes past its start block, GEMM_ROWS at a time: the same columns to the rounding of a row
+    # the rows the solver takes past its start block, GEMM_ROWS at a time, against the columns below a of rows()
+    # in 256-row blocks, one product per row: the same columns to the rounding of a row
     size = 2 * GEMM_ROWS + 100
     op = SubstitutionOperator(alpha, 5 / size, size)
     scale = np.linspace(1.0, 3.0, op.size - op.steady + 1)
-    rows, gemm = op.boundary(op.steady, scale), op.boundary(op.steady, scale, gemm=True)
+    gemm = op.boundary(op.steady, scale)
+    rows = np.concatenate([op.rows(op.steady + i, scale[i : i + 256])[:, : op.a] for i in range(0, scale.size, 256)])
     assert gemm.shape == rows.shape
     assert np.all(np.abs(gemm - rows) <= 1e-15 * np.abs(rows).max(axis=1, keepdims=True))

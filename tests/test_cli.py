@@ -63,6 +63,13 @@ def test_parse_config_errors():
         parse_config("term = x, \"1\"\n")
     with pytest.raises(UsageError):
         build_problem(parse_config('term = 0.5, "1+"\nic = 0\n'))
+    # every key but term at most once, and each error names its line once
+    with pytest.raises(UsageError, match=r"^line 8 \(h\): repeated key$"):
+        parse_config(RELAX_CFG + "h = 0.25\n")
+    with pytest.raises(UsageError, match=r"^line 2 \(what\): unknown key$"):
+        parse_config('term = 0.5, "1"\nwhat = 3\n')
+    with pytest.raises(UsageError, match=r"^line 2 \(p\): expression must be double-quoted, got '1'$"):
+        parse_config('term = 0.5, "1"\np = 1\n')
 
 
 def test_solve_writes_deterministic_csv(relax_cfg, tmp_path):
@@ -78,6 +85,18 @@ def test_solve_writes_deterministic_csv(relax_cfg, tmp_path):
     last = lines[-1].split(",")
     assert float(last[0]) == 1.0
     assert float(last[1]) == result.y[-1]  # floats are written losslessly
+
+
+def test_csv_goes_to_stdout_without_out(tmp_path, capsys):
+    # the same bytes as --out writes; the expression's trailing blank ends the tokenizer on whitespace
+    argv = ["deriv", "--alpha", "0.5", "--expr", "t + 1 ", "--h", "0.25", "--t-end", "1"]
+    out = tmp_path / "d.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.encode() == out.read_bytes() and captured.err == ""
+    assert captured.out.startswith("t,value\n") and captured.out.count("\n") == 5
 
 
 def test_solve_calibrated_config(tmp_path):
@@ -281,6 +300,7 @@ def test_solve_above_order_two_stays_bounded(tmp_path, capsys):
         ["oracle", "--name", "mittag-leffler", "--a", "0.5", "--h", "0.5", "--t-end", "1"],
         ["oracle", "--name", "bessel-series", "--h", "0.5", "--t-end", "1"],
         ["assemble", "--m", "1"],  # row 1 of an order-2 problem is in the prefix
+        ["solve", "--config", RELAX_CFG + "h = 0.25\n"],  # a repeated config key
     ],
 )
 def test_argument_errors_exit_one_with_one_line(argv, relax_cfg, tmp_path, capsys):

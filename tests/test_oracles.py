@@ -191,8 +191,10 @@ def test_bessel_indicial_root_to_float_resolution():
     assert bessel_series(2.0, 50).gamma == pytest.approx(2.199515088313709, rel=1e-14)
 
 
-def test_import_leaves_scipy_out():
-    code = "import sys, fracsubst, fracsubst.cli; print('scipy' in sys.modules)"
+@pytest.mark.parametrize("module", ["scipy", "numpy.fft"])
+def test_import_leaves_scipy_out(module):
+    # numpy.fft too: only a history longer than DIRECT_HISTORY rows needs it
+    code = f"import sys, fracsubst, fracsubst.cli; print({module!r} in sys.modules)"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
