@@ -24,11 +24,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .stencils import central, node_weights
 
-# the boundary columns' matrix products take this many rows at a time: OpenBLAS runs a product
-# this thin on one thread, and on two threads one product of 2^15 or 2^16 rows stalled for
-# 15-30 ms (2-vCPU Xeon), where these pieces take 0.4-0.8 ms in all
-GEMM_ROWS = 4096
-
 __all__ = [
     "FracOrder",
     "Grid",
@@ -155,10 +150,11 @@ class SubstitutionOperator:
     with the central taps that reach below column ``a`` = ceil(n/2) + n + 1,
     and the right-edge stencils, touch disjoint columns.  Column k >= a of
     such a row m is then :meth:`kernel` kappa[m - k], read off row ``size``;
-    columns below a are :meth:`boundary`, a fixed block times the
-    coefficients of nodes 0..J, J = a - 1 + ceil(n/2).  :meth:`rows` returns
-    any run of consecutive rows as one new block, scattering those below
-    ``steady`` node by node and reading the rest from the kernel and the block.
+    column i < a is :meth:`boundary`, row i of a fixed block convolved with
+    the trapezoid weights of nodes 0..J, J = a - 1 + ceil(n/2), down all the
+    rows at once.  :meth:`rows` returns any run of consecutive rows as one
+    new block, scattering those below ``steady`` node by node and reading
+    the rest from the kernel and the block.
     :meth:`quadrature` convolves ``weights`` with the trapezoid pairs of
     samples of f^(n).  :meth:`apply_rows` takes samples of f, stencils
     first: as every edge stencil is the same from row n + 1 on, those rows
@@ -229,21 +225,19 @@ class SubstitutionOperator:
             self._build_steady()
         return self._kernel
 
-    def boundary(self, m0: int, scale: np.ndarray) -> np.ndarray:
-        """``scale[i]`` times columns 0..a-1 of row m = m0 + i (steady <= m0,
-        m0 + len(scale) <= size + 1), a new (len(scale), a) array: the
-        :meth:`_coefficients` of the rows times the block, one matrix product
-        per ``GEMM_ROWS`` rows.  Its sums may round apart from :meth:`rows`'
-        per-row products in the last bit."""
-        rows = scale.size
-        if not (self.steady <= m0 and m0 + rows <= self.size + 1):
-            raise ValueError(f"rows {m0}..{m0 + rows - 1} are not steady rows {self.steady}..{self.size}")
+    def boundary(self, m0: int, i: int) -> np.ndarray:
+        """Column i < a of the steady rows m0..size at scale 1, a new array of
+        size - m0 + 1 values: row i of the block against the trapezoid weights
+        of nodes 0..J, one convolution with J + 1 taps.  Its sums may round
+        apart from :meth:`rows`' per-row products in the last bit."""
+        if not (self.steady <= m0 <= self.size and 0 <= i < self.a):
+            raise ValueError(
+                f"column {i} of rows {m0}..{self.size} is not below {self.a} in steady rows {self.steady}..{self.size}"
+            )
         self.kernel()  # builds the block
-        left = np.empty((rows, self.a))
-        for i in range(0, rows, GEMM_ROWS):
-            np.matmul(self._coefficients(m0 + i, min(GEMM_ROWS, rows - i)), self._block.T, out=left[i : i + GEMM_ROWS])
-        left *= (scale / (2.0 * self._gamma))[:, None]
-        return left
+        v = self._block[i]
+        pairs = self._pair[m0 - v.size + 1 : self.size]  # pair[m - J] .. pair[m - 1] of every row m
+        return (self.weights[m0:] * v[0] + np.convolve(pairs, v[1:], "valid")) / (2.0 * self._gamma)
 
     def _coefficients(self, m0: int, rows: int) -> np.ndarray:
         """[weights[m], pair[m-1], ..., pair[m-J]], the trapezoid weights of

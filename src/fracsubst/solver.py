@@ -13,8 +13,8 @@ grown by whole blocks until it passes S, is assembled and eliminated so
 throughout.  On a longer grid, from row S on, row m of term l is
 kappa_l[m - k] in columns k >= a_l (the operator's
 :meth:`~.caputo.SubstitutionOperator.kernel`) plus its
-:meth:`~.caputo.SubstitutionOperator.boundary` columns below a_l, all of
-them from one call, so no dense row is built.  These rows are
+:meth:`~.caputo.SubstitutionOperator.boundary` columns below a_l, each one
+short convolution, so no dense row is built.  These rows are
 solved ``BLOCK_ROWS`` at a time (a leaf), in one of two ways.  Where every
 q_l and p is constant on them, every leaf has the same lower-triangular
 Toeplitz matrix L = pivot I + sum_l q_l T_l, and so has its inverse G: G is
@@ -118,9 +118,10 @@ class SolveResult:
 
     * ``rows``: the rows solved, r..M, as many as ``rows_checked``;
     * ``coef_bytes``: the coefficient arrays held, O(M): the dense start
-      block's rows, and past it each term's kernel, boundary columns and
-      leaf block, and the shared leaf's L and G, B^2 values each, B =
-      ``BLOCK_ROWS``, where leaves share them;
+      block's rows, and past it each term's kernel and leaf block, and the
+      shared leaf's L and G, B^2 values each, B = ``BLOCK_ROWS``, where
+      leaves share them; the boundary columns are built when read and not
+      held;
     * ``madds``: the multiply-adds of the history sums.  A dense row m
       takes m; past the start block each row and term takes a for its
       boundary columns, each leaf of k rows k(k-1)/2 per term, a direct
@@ -225,14 +226,16 @@ def _system(
 
 class _Tail:
     """Rows b..M of a problem, from b = S, the first row past its start
-    block, kept as each term's kernel, boundary columns
-    (:meth:`~.caputo.SubstitutionOperator.boundary`, all rows in one call)
-    and ``BLOCK_ROWS``-square strictly lower Toeplitz block of a leaf,
-    kappa[i - j] below the diagonal and zero on and above it.  Their data,
-    pivots and norms are evaluated when it is built, in the order of
-    :func:`assemble_system`, and raise through its row check; :meth:`solve`
-    then extends the start block's solution with the checks of
-    :func:`eliminate`, up to the first failing row.
+    block, kept as each term's kernel and ``BLOCK_ROWS``-square strictly
+    lower Toeplitz block of a leaf, kappa[i - j] below the diagonal and zero
+    on and above it.  The boundary columns
+    (:meth:`~.caputo.SubstitutionOperator.boundary`) are built one at a time
+    where they are read, and not held: their absolute values into the norms,
+    and y_i times column i into the right-hand side.  Data, pivots and norms
+    are evaluated when it is built, in the order of :func:`assemble_system`,
+    and raise through its row check; :meth:`solve` then extends the start
+    block's solution with the checks of :func:`eliminate`, up to the first
+    failing row.
 
     Where every q_l and p is constant on the rows, and the rows before the
     first failing pivot span more than one leaf, ``shared`` holds the one
@@ -249,12 +252,12 @@ class _Tail:
         p, f = _on_rows(problem.p, ms, h), _on_rows(problem.f, ms, h)
         self.ms = np.arange(b, max_rows + 1)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, by its row
-            self.left = [op.boundary(b, q) for op, q in zip(self.ops, self.qs)]
             d = sum(q * op.kernel()[0] for op, q in zip(self.ops, self.qs))
             # per term |q| times the boundary and prefix sums of |kappa|: exact for one term
             self.offdiag = sum(
-                np.abs(left).sum(axis=1) + np.abs(q) * np.cumsum(np.abs(op.kernel()[1 : max_rows - op.a + 1]))[b - op.a - 1 :]
-                for op, q, left in zip(self.ops, self.qs, self.left)
+                np.abs(q) * sum(np.abs(op.boundary(b, i)) for i in range(op.a))
+                + np.abs(q) * np.cumsum(np.abs(op.kernel()[1 : max_rows - op.a + 1]))[b - op.a - 1 :]
+                for op, q in zip(self.ops, self.qs)
             )
             self.pivot = d + p
         _check_rows(b, self.offdiag, d, [*self.qs, p, f])
@@ -263,7 +266,7 @@ class _Tail:
         self.stop = b + int(failing[0]) if failing.size else max_rows + 1  # the first row whose pivot fails, else M + 1
         self.f = f
         self.leaf = [np.tril(_lower_toeplitz(op.kernel(), BLOCK_ROWS), -1) for op in self.ops]
-        self.coef_bytes = sum(op.kernel().nbytes + left.nbytes + t.nbytes for op, left, t in zip(self.ops, self.left, self.leaf))
+        self.coef_bytes = sum(op.kernel().nbytes + t.nbytes for op, t in zip(self.ops, self.leaf))
         self.madds = 0
         self.shared = None
         if self.stop - b > BLOCK_ROWS and all(np.all(v == v[0]) for v in (*self.qs, p)):  # G serves two leaves or more
@@ -280,10 +283,10 @@ class _Tail:
         y[:b] = y0
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, by its row
             c = self.f.copy()  # f_m less the part of row m's sum known so far
-            for op, q, left in zip(self.ops, self.qs, self.left):
-                c -= left @ y[: op.a]
+            for op, q in zip(self.ops, self.qs):
+                c -= q * sum(y[i] * op.boundary(b, i) for i in range(op.a))
                 c -= q * self._history(y[op.a : b], op.kernel(), total - b)
-                self.madds += left.size
+                self.madds += op.a * (total - b)
             for j in range(-(-(stop - b) // BLOCK_ROWS)):
                 lo, hi = b + j * BLOCK_ROWS, min(b + (j + 1) * BLOCK_ROWS, stop)
                 self._leaf(y, c, lo, hi)

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from fracsubst.assembly import BLOCK_ROWS
 from fracsubst.caputo import (
-    GEMM_ROWS,
     FracOrder,
     Grid,
     SubstitutionOperator,
@@ -432,20 +431,22 @@ def test_block_straddling_steady_equals_the_stacked_rows(alpha):
 @pytest.mark.parametrize("alpha", [0.5, 1.5, 2.5])
 def test_boundary_columns_take_steady_rows_only(alpha):
     op = SubstitutionOperator(alpha, 0.05, 40)
-    assert op.boundary(op.steady, np.ones(op.size - op.steady + 1)).shape == (op.size - op.steady + 1, op.a)
-    for m0, rows in ((op.steady - 1, 1), (op.steady, op.size - op.steady + 2), (op.size, 2)):
-        with pytest.raises(ValueError, match=rf"rows {m0}\.\.{m0 + rows - 1} are not steady rows {op.steady}\.\.40$"):
-            op.boundary(m0, np.ones(rows))
+    for i in range(op.a):
+        assert op.boundary(op.steady, i).shape == (op.size - op.steady + 1,)
+        assert op.boundary(op.size, i).shape == (1,)
+    for m0, i in ((op.steady - 1, 0), (op.size + 1, 0), (op.steady, op.a), (op.steady, -1)):
+        with pytest.raises(ValueError, match=rf"column {i} of rows {m0}\.\.40 is not below {op.a} in steady rows {op.steady}\.\.40$"):
+            op.boundary(m0, i)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.5, 2.5, 4.5])
 def test_boundary_columns_from_one_matrix_product_match_the_row_products(alpha):
-    # the rows the solver takes past its start block, GEMM_ROWS at a time, against the columns below a of rows()
-    # in 256-row blocks, one product per row: the same columns to the rounding of a row
-    size = 2 * GEMM_ROWS + 100
+    # the columns the solver takes past its start block, one convolution each, against the columns below a
+    # of rows() in 256-row blocks, one product per row: the same columns to the rounding of a row
+    size = 2 * 4096 + 100
     op = SubstitutionOperator(alpha, 5 / size, size)
     scale = np.linspace(1.0, 3.0, op.size - op.steady + 1)
-    gemm = op.boundary(op.steady, scale)
+    columns = np.stack([op.boundary(op.steady, i) for i in range(op.a)], axis=1) * scale[:, None]
     rows = np.concatenate([op.rows(op.steady + i, scale[i : i + 256])[:, : op.a] for i in range(0, scale.size, 256)])
-    assert gemm.shape == rows.shape
-    assert np.all(np.abs(gemm - rows) <= 1e-15 * np.abs(rows).max(axis=1, keepdims=True))
+    assert columns.shape == rows.shape
+    assert np.all(np.abs(columns - rows) <= 1e-15 * np.abs(rows).max(axis=1, keepdims=True))

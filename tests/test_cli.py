@@ -270,6 +270,15 @@ def test_overflowing_solution_exits_two_without_a_csv(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_unsettled_oracle_series_exits_two_without_a_csv(tmp_path, capsys):
+    out = tmp_path / "ml.csv"
+    argv = ["oracle", "--name", "mittag-leffler", "--a", "0.001", "--b", "1", "--h", "0.9999", "--t-end", "0.9999"]
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: Mittag-Leffler series did not settle") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_solve_above_order_two_stays_bounded(tmp_path, capsys):
     # D^2.5 y + y = 1 with zero data: y(1) = 0.286; only row 3 (m = n) is degraded
     cfg = tmp_path / "order25.cfg"

@@ -1,4 +1,5 @@
-"""The demo scripts and configs run to completion, without a traceback or a numpy warning."""
+"""The demo scripts and configs run to completion, without a traceback or a numpy warning, and fig2-fig4
+solve near the truth."""
 
 import os
 import re
@@ -12,6 +13,7 @@ import pytest
 
 from fracsubst import solver
 from fracsubst.cli import build_problem, main, parse_config
+from fracsubst.oracles import mittag_leffler, relaxation_solution
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
@@ -79,3 +81,34 @@ def test_condition_prints_the_certificate_that_solve_attaches(name, tmp_path, ca
     certificate, attached = solver.report(problem, cfg.h, m), solver.solve(problem, cfg.h, m).report
     for field in fields(certificate):
         assert np.array_equal(getattr(certificate, field.name), getattr(attached, field.name)), field.name
+
+
+def forced_relaxation(alpha, f, t):
+    """y(t) of D^alpha y + y = f with zero data: (1/alpha) * integral_0^(t^alpha) E_{alpha,alpha}(-u)
+    f(t - u^(1/alpha)) du, the convolution of f with the relaxation kernel after the substitution u =
+    (t - s)^alpha, by 400-point Gauss-Legendre on [0, t^alpha]"""
+    x, w = np.polynomial.legendre.leggauss(400)
+    top = t**alpha
+    u = 0.5 * top * (x + 1.0)
+    kernel = np.array([mittag_leffler(alpha, alpha, -v) for v in u])
+    return 0.5 * top / alpha * np.sum(w * kernel * f(t - u ** (1.0 / alpha)))
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0, 2.5, 5.0])
+def test_forced_relaxation_with_unit_forcing_is_the_relaxation_solution(t):
+    assert forced_relaxation(1.5, np.ones_like, t) == pytest.approx(relaxation_solution(1.5, t), rel=1e-12)
+
+
+# the relative error of each config's solve at t = 1, 2.5 and 5, gated at about twice what it measured:
+# fig2 1.9e-4, 8.9e-5, 7.9e-5; fig3 1.9e-4, 9.1e-5, 9.8e-5; fig4 2.6e-5, 1.2e-5, 1.5e-5
+FIG_ERRORS = {"fig2": (4e-4, 2e-4, 1.6e-4), "fig3": (4e-4, 2e-4, 2e-4), "fig4": (5e-5, 2.5e-5, 3e-5)}
+
+
+@pytest.mark.parametrize("name", list(FIG_ERRORS))
+def test_demo_config_solves_near_the_forced_relaxation(name):
+    cfg = parse_config((DEMOS / f"{name}.cfg").read_text())
+    assert (cfg.terms, cfg.p, cfg.ics) == ([(1.5, "1")], "1", [0.0, 0.0])  # D^1.5 y + y = f with zero data
+    problem, m = build_problem(cfg), round(cfg.t_end / cfg.h)
+    y = solver.solve(problem, cfg.h, m).y
+    for t, bound in zip((1.0, 2.5, 5.0), FIG_ERRORS[name]):
+        assert y[round(t / cfg.h)] == pytest.approx(forced_relaxation(1.5, problem.f, t), rel=bound), t

@@ -90,6 +90,8 @@ def test_mittag_leffler_regime_checks():
         mittag_leffler(0.0, 1.0, 1.0)
     with pytest.raises(ConvergenceError):
         mittag_leffler(0.05, 1.0, 40.0)
+    with pytest.raises(ConvergenceError, match="did not settle"):
+        mittag_leffler(0.001, 1.0, 0.9999)  # 10^4 terms of about 0.9999^k each
 
 
 def test_relaxation_zero_start():
