@@ -14,10 +14,12 @@ Problems are read from flat key-value config files::
 
 Every key but ``term`` may appear once: a repeat is a usage error naming its line.
 
-CSV output has a header row and '\n' line endings.  Floats are written in
-their shortest round-trip form (``repr``), so ``float()`` of a field gives
-back the computed double exactly; integer columns (row and column indices)
-are written as integers.  Identical inputs produce byte-identical files.
+CSV output has a header row and '\n' line endings.  A table is written
+column by column: each column is one sequence of str, int or float, and
+each field is ``str`` of its value.  So floats are written in their
+shortest round-trip form (``repr``), and ``float()`` of a field gives back
+the computed double exactly; integer columns (row and column indices) are
+written as integers.  Identical inputs produce byte-identical files.
 ``deriv`` rows come from one substitution operator's trapezoid convolution:
 over the stencil values of samples of f for ``--expr``, each row m with the
 stencils of a grid ending at x_m (no row m < n = ceil(alpha), the plain n-th
@@ -54,18 +56,10 @@ class UsageError(ValueError):
     pass
 
 
-def _fmt(x) -> str:
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
-
-
-def _write_csv(path: str | None, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
+def _write_csv(path: str | None, header: list[str], *columns) -> None:
+    """Write one CSV table from its columns, each a sequence of str, int or float."""
+    cells = [map(str, np.asarray(column).tolist()) for column in columns]
+    text = "\n".join([",".join(header), *map(",".join, zip(*cells, strict=True))]) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
@@ -165,6 +159,8 @@ def _grid_params(cfg: ProblemConfig, args) -> tuple[float, float, int]:
         raise UsageError("grid step and end point needed (--h/--t-end or config h/t_end)")
     if not (math.isfinite(h) and h > 0 and math.isfinite(t_end) and t_end > 0):
         raise UsageError(f"grid step and end point must be finite and positive, got h={h!r}, t_end={t_end!r}")
+    if not math.isfinite(t_end / h):
+        raise UsageError(f"grid step h={h!r} is too small for t_end={t_end!r}: t_end / h is not finite")
     max_rows = round(t_end / h)
     if max_rows < 1 or abs(max_rows * h - t_end) > 1e-9 * t_end:
         raise UsageError(f"step {h} does not divide t_end {t_end}")
@@ -193,11 +189,11 @@ def _cmd_solve(args) -> int:
     report = result.report
     print(
         f"solved {max_rows + 1} nodes; conditioning satisfied={report.satisfied} "
-        f"delta={_fmt(report.delta)}; min pivot {_fmt(result.pivot_min)}; "
+        f"delta={report.delta!r}; min pivot {result.pivot_min!r}; "
         f"{len(result.degraded_rows)} degraded rows",
         file=sys.stderr,
     )
-    _write_csv(args.out, ["t", "y"], zip(result.grid.nodes, result.y))
+    _write_csv(args.out, ["t", "y"], result.grid.nodes, result.y)
     return 0
 
 
@@ -208,10 +204,9 @@ def _cmd_deriv(args) -> int:
     nodes = np.arange(max_rows + 1) * h
     values = fn(nodes)
     if args.expr is not None:
-        rows = zip(nodes[op.n :], op.apply_rows(values, op.n, max_rows + 1))
+        _write_csv(args.out, ["t", "value"], nodes[op.n :], op.apply_rows(values, op.n, max_rows + 1))
     else:
-        rows = zip(nodes[1:], op.quadrature(values))
-    _write_csv(args.out, ["t", "value"], rows)
+        _write_csv(args.out, ["t", "value"], nodes[1:], op.quadrature(values))
     return 0
 
 
@@ -225,9 +220,9 @@ def _cmd_stencil(args) -> int:
             st = builders[kind](n)
             weights = ",".join(str(w) for w in st.weights)
             print(f"{kind} n={n} B={st.norm_denominator} offsets {st.offsets[0]}..{st.offsets[-1]}: {weights}")
-            rows.extend((kind, n, st.norm_denominator, o, w) for o, w in zip(st.offsets, st.weights))
+            rows.extend((kind, n, st.norm_denominator, o, float(w)) for o, w in zip(st.offsets, st.weights))
     if args.out:
-        _write_csv(args.out, ["kind", "n", "b", "offset", "weight"], rows)
+        _write_csv(args.out, ["kind", "n", "b", "offset", "weight"], *zip(*rows))
     return 0
 
 
@@ -235,15 +230,12 @@ def _cmd_condition(args) -> int:
     _, problem, h, _, max_rows = _load_problem(args)
     report = solver.report(problem, h, max_rows)
     print(f"rows checked: {report.rows.size} (m={report.rows[0]}..{report.rows[-1]})")
-    print(f"delta (min margin): {_fmt(report.delta)}")
+    print(f"delta (min margin): {report.delta!r}")
     print(f"satisfied: {report.satisfied}")
-    print(f"alternative constants: A={_fmt(report.alt_a)} B={_fmt(report.alt_b)}")
+    print(f"alternative constants: A={report.alt_a!r} B={report.alt_b!r}")
     if args.out:
-        _write_csv(
-            args.out,
-            ["m", "diag", "offdiag", "margin"],
-            zip(report.rows, report.diag, report.offdiag, report.margin),
-        )
+        _write_csv(args.out, ["m", "diag", "offdiag", "margin"],
+                   report.rows, report.diag, report.offdiag, report.margin)
     if args.fail_on_unconditioned and not report.satisfied:
         print("system is not certified well-conditioned", file=sys.stderr)
         return 2
@@ -257,7 +249,7 @@ def _cmd_converge(args) -> int:
         raise UsageError(f"--levels must be at least 1, got {args.levels}")
     hs = [h / 2**i for i in range(args.levels)]
     levels = solver.convergence_study(problem, exact, hs, t_end)
-    _write_csv(args.out, ["h", "max_error", "observed_order"], levels)
+    _write_csv(args.out, ["h", "max_error", "observed_order"], *zip(*levels))
     return 0
 
 
@@ -268,22 +260,23 @@ def _cmd_oracle(args) -> int:
     if name == "caputo-power":
         if args.alpha is None or args.beta is None:
             raise UsageError("caputo-power needs --alpha and --beta")
-        rows = [(t, oracles.caputo_power(args.alpha, args.beta, t)) for t in ts[1:]]
+        ts = ts[1:]
+        values = [oracles.caputo_power(args.alpha, args.beta, t) for t in ts]
     elif name == "mittag-leffler":
         if args.a is None or args.b is None:
             raise UsageError("mittag-leffler needs --a and --b")
-        rows = [(t, oracles.mittag_leffler(args.a, args.b, t, args.tol)) for t in ts]
+        values = [oracles.mittag_leffler(args.a, args.b, t, args.tol) for t in ts]
     elif name == "relaxation":
         if args.alpha is None:
             raise UsageError("relaxation needs --alpha")
-        rows = [(t, oracles.relaxation_solution(args.alpha, t)) for t in ts]
+        values = [oracles.relaxation_solution(args.alpha, t) for t in ts]
     else:  # bessel-series; argparse restricts the choices
         if args.nu is None:
             raise UsageError("bessel-series needs --nu")
         sol = oracles.bessel_series(args.nu, args.n_terms)
-        print(f"gamma={_fmt(sol.gamma)} radius_hint={_fmt(sol.radius_hint)}", file=sys.stderr)
-        rows = list(zip(ts, sol(ts)))
-    _write_csv(args.out, ["t", "value"], rows)
+        print(f"gamma={sol.gamma!r} radius_hint={sol.radius_hint!r}", file=sys.stderr)
+        values = sol(ts)
+    _write_csv(args.out, ["t", "value"], ts, values)
     return 0
 
 
@@ -293,8 +286,10 @@ def _cmd_assemble(args) -> int:
         raise UsageError(f"row m={args.m} is not assembled (prefix or out of range)")
     rows = assemble_system(problem, h, max_rows) if args.m is None else [assemble_row(problem, h, args.m)]
     if args.dump:
-        triples = ((row.m, k, row.d[k]) for row in rows for k in range(row.m + 1))
-        _write_csv(args.out, ["m", "k", "d_k"], triples)
+        ms = [row.m for row in rows]
+        ks = np.concatenate([np.arange(m + 1) for m in ms])
+        d_ks = np.concatenate([row.d for row in rows])
+        _write_csv(args.out, ["m", "k", "d_k"], np.repeat(ms, np.add(ms, 1)), ks, d_ks)
     else:
         degraded = [row.m for row in rows if row.degraded]
         print(f"assembled rows m={rows[0].m}..{rows[-1].m}; degraded: {degraded or 'none'}")

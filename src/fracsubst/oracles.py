@@ -246,7 +246,7 @@ def bessel_series(nu: float, n_terms: int = 1500) -> SeriesSolution:
     for j in range(max(0, n_terms - 4), n_terms + 1):
         if c[j] != 0.0:
             hints.append((tol / abs(c[j])) ** (1.0 / (gamma + s * j)))
-    radius = min(hints) if hints else math.inf
+    radius = float(min(hints)) if hints else math.inf
     return SeriesSolution(gamma, s, c, radius, float(nu), BESSEL_TERMS)
 
 

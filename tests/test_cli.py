@@ -5,10 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracsubst.assembly import DerivativeTerm, FDEProblem, assemble_row
+from fracsubst.assembly import DerivativeTerm, FDEProblem, assemble_row, assemble_system
 from fracsubst.cli import UsageError, build_problem, main, parse_config
 from fracsubst.expr import parse
-from fracsubst.oracles import caputo_power
+from fracsubst.oracles import bessel_series, caputo_power
 from fracsubst.solver import solve
 
 RELAX_CFG = """\
@@ -231,6 +231,13 @@ def test_assemble_dump(relax_cfg, tmp_path, capsys):
         m, k, dk = line.split(",")
         assert (int(m), int(k), float(dk)) == (3, index, expected)
 
+    # without --m: every assembled row, d_0..d_m in order
+    assert main(["assemble", "--config", relax_cfg, "--h", "0.25", "--t-end", "1", "--dump", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    expected = [(row.m, k, dk) for row in assemble_system(problem, 0.25, 4) for k, dk in enumerate(row.d.tolist())]
+    assert lines[0] == "m,k,d_k" and len(expected) == 3 + 4 + 5  # rows 2..4
+    assert [(int(m), int(k), float(dk)) for m, k, dk in (line.split(",") for line in lines[1:])] == expected
+
 
 def test_usage_errors_exit_one(tmp_path):
     assert main(["solve"]) == 1                      # missing --config
@@ -310,6 +317,7 @@ def test_solve_above_order_two_stays_bounded(tmp_path, capsys):
         ["oracle", "--name", "bessel-series", "--h", "0.5", "--t-end", "1"],
         ["assemble", "--m", "1"],  # row 1 of an order-2 problem is in the prefix
         ["solve", "--config", RELAX_CFG + "h = 0.25\n"],  # a repeated config key
+        ["solve", "--h", "5e-324"],  # t_end / h overflows
     ],
 )
 def test_argument_errors_exit_one_with_one_line(argv, relax_cfg, tmp_path, capsys):
@@ -450,6 +458,14 @@ def test_oracle_errors_print_plain_floats(capsys):
     assert main(["oracle", "--name", "relaxation", "--alpha", "1.5", "--h", "1", "--t-end", "50"]) == 1
     err = capsys.readouterr().err
     assert err == "error: |z| > 50 is outside the series regime, got z=-52.38320341483518\n", err
+
+
+def test_bessel_series_oracle_prints_plain_floats(capsys):
+    sol = bessel_series(2.0, 300)
+    assert type(sol.gamma) is float and type(sol.radius_hint) is float
+    assert main(["oracle", "--name", "bessel-series", "--nu", "2", "--n-terms", "300", "--h", "0.5", "--t-end", "1"]) == 0
+    err = capsys.readouterr().err
+    assert err == f"gamma={sol.gamma!r} radius_hint={sol.radius_hint!r}\n" and "np.float64(" not in err, err
 
 
 def test_system_too_large_for_memory_exits_two(capsys):

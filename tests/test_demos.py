@@ -65,7 +65,7 @@ def test_demo_config_solves_clean(name, nodes, tmp_path):
 @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4", "fig5"])
 def test_condition_prints_the_certificate_that_solve_attaches(name, tmp_path, capsys):
     config = DEMOS / f"{name}.cfg"
-    assert main(["condition", "--config", str(config)]) == 0
+    assert main(["condition", "--config", str(config), "--out", str(tmp_path / "c.csv")]) == 0
     printed = capsys.readouterr().out
     assert main(["solve", "--config", str(config), "--out", str(tmp_path / "y.csv")]) == 0
     solved = capsys.readouterr().err
@@ -81,6 +81,14 @@ def test_condition_prints_the_certificate_that_solve_attaches(name, tmp_path, ca
     certificate, attached = solver.report(problem, cfg.h, m), solver.solve(problem, cfg.h, m).report
     for field in fields(certificate):
         assert np.array_equal(getattr(certificate, field.name), getattr(attached, field.name)), field.name
+
+    # the CSV holds the certificate's columns exactly, m as an integer (int("5.0") raises)
+    header, *lines = (tmp_path / "c.csv").read_text().splitlines()
+    table = [line.split(",") for line in lines]
+    assert header == "m,diag,offdiag,margin"
+    assert [int(row[0]) for row in table] == certificate.rows.tolist()
+    for j, column in enumerate((certificate.diag, certificate.offdiag, certificate.margin), start=1):
+        assert [float(row[j]) for row in table] == column.tolist(), header.split(",")[j]
 
 
 def forced_relaxation(alpha, f, t):
