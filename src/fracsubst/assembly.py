@@ -45,13 +45,12 @@ dropped keeps its whole block alive.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .caputo import FracOrder, SubstitutionOperator
+from .caputo import FracOrder, SubstitutionOperator, _physical_memory
 from .expr import Expression
 
 BLOCK_ROWS = 64  # rows are built this many at a time
@@ -204,7 +203,7 @@ def assemble_system(problem: FDEProblem, h: float, max_rows: int) -> list[Assemb
     full, last = divmod(max_rows + 1 - r, BLOCK_ROWS)
     padding = 8 * (full * BLOCK_ROWS * (BLOCK_ROWS - 1) + last * (last - 1)) // 2
     extra = padding + 8 * BLOCK_ROWS * (max_rows + 1)
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    have = _physical_memory()
     if need + extra > have:
         raise MemoryError(
             f"the dense system for M={max_rows} needs {need} bytes of row coefficients "

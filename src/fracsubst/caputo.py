@@ -16,6 +16,7 @@ values (the sampled derivative, ``fracsubst deriv --expr``).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -58,10 +59,16 @@ def _as_order(order: FracOrder | float) -> FracOrder:
     return order if isinstance(order, FracOrder) else FracOrder(float(order))
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory, read from ``os.sysconf`` at each call."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 class Grid:
     """Strictly increasing finite nodes x_0 = 0 < x_1 < ... < x_m.
 
-    Detects uniform spacing; ``h`` is defined only for uniform grids.
+    Detects uniform spacing; ``h`` is defined only for uniform grids.  The
+    grid 0, h, ..., t_end has :meth:`steps` steps, if it fits in memory.
     """
 
     def __init__(self, nodes: Sequence[float]):
@@ -85,6 +92,22 @@ class Grid:
         if not (math.isfinite(h) and h > 0) or m < 1:
             raise ValueError(f"need a finite step h > 0 and at least one step, got h={h!r}, m={m}")
         return cls(np.arange(m + 1) * float(h))
+
+    @staticmethod
+    def steps(h: float, t_end: float) -> int:
+        """The step count M of the grid 0, h, ..., t_end, allocating nothing.  A ``ValueError``
+        names h and t_end unless both are finite and positive, the M + 1 nodes of 8 bytes fit
+        in physical memory, M = t_end / h rounded is at least 1 and |M h - t_end| <= 1e-9 t_end."""
+        if not (math.isfinite(h) and h > 0 and math.isfinite(t_end) and t_end > 0):
+            raise ValueError(f"grid step and end point must be finite and positive, got h={h!r}, t_end={t_end!r}")
+        nodes = t_end / h + 1
+        if not 8 * nodes <= _physical_memory():  # an infinite t_end / h too
+            why = "t_end / h is not finite" if math.isinf(nodes) else f"its {nodes:.3g} nodes exceed physical memory"
+            raise ValueError(f"grid step h={h!r} is too small for t_end={t_end!r}: {why}")
+        m = round(t_end / h)
+        if m < 1 or abs(m * h - t_end) > 1e-9 * t_end:
+            raise ValueError(f"step {h} does not divide t_end {t_end}")
+        return m
 
     @property
     def m(self) -> int:

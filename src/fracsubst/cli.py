@@ -13,6 +13,10 @@ Problems are read from flat key-value config files::
     calibrate = 1e-4, 1.0, 0.1267686388    # optional: epsilon, t*, u*
 
 Every key but ``term`` may appear once: a repeat is a usage error naming its line.
+Every command but ``stencil`` takes h and t_end from ``--h``/``--t-end``, else
+from the config, and its step count M from :meth:`~.caputo.Grid.steps`: h
+must divide t_end to 1e-9 of it, and a grid whose M + 1 nodes do not fit in
+physical memory is an argument error (exit 1).
 
 CSV output has a header row and '\n' line endings.  A table is written
 column by column: each column is one sequence of str, int or float, and
@@ -38,7 +42,7 @@ an overflowing row, solution or calibration rescale, a singular pivot); 2 and
 from __future__ import annotations
 
 import argparse
-import math
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -46,7 +50,7 @@ import numpy as np
 
 from . import oracles, solver, stencils
 from .assembly import DerivativeTerm, FDEProblem, assemble_row, assemble_system
-from .caputo import SubstitutionOperator
+from .caputo import Grid, SubstitutionOperator
 from .expr import ParseError, parse
 
 __all__ = ["main", "ProblemConfig", "parse_config", "build_problem"]
@@ -82,18 +86,6 @@ class ProblemConfig:
     calibrate: tuple[float, float, float] | None = None
 
 
-def _strip_comment(line: str) -> str:
-    out = []
-    quoted = False
-    for ch in line:
-        if ch == '"':
-            quoted = not quoted
-        elif ch == "#" and not quoted:
-            break
-        out.append(ch)
-    return "".join(out)
-
-
 def _unquote(text: str) -> str:
     text = text.strip()
     if len(text) < 2 or text[0] != '"' or text[-1] != '"':
@@ -105,7 +97,7 @@ def parse_config(text: str) -> ProblemConfig:
     cfg = ProblemConfig()
     seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
+        line = re.match(r'(?:[^"#]|"[^"]*"?)*', raw).group().strip()  # up to a '#' outside quotes
         if not line:
             continue
         if "=" not in line:
@@ -152,19 +144,11 @@ def build_problem(cfg: ProblemConfig) -> FDEProblem:
         raise UsageError(str(exc)) from exc
 
 
-def _grid_params(cfg: ProblemConfig, args) -> tuple[float, float, int]:
-    h = args.h if args.h is not None else cfg.h
-    t_end = args.t_end if args.t_end is not None else cfg.t_end
+def _grid_params(h: float | None, t_end: float | None) -> tuple[float, float, int]:
+    """h, t_end and the step count of their grid, by :meth:`~.caputo.Grid.steps`."""
     if h is None or t_end is None:
         raise UsageError("grid step and end point needed (--h/--t-end or config h/t_end)")
-    if not (math.isfinite(h) and h > 0 and math.isfinite(t_end) and t_end > 0):
-        raise UsageError(f"grid step and end point must be finite and positive, got h={h!r}, t_end={t_end!r}")
-    if not math.isfinite(t_end / h):
-        raise UsageError(f"grid step h={h!r} is too small for t_end={t_end!r}: t_end / h is not finite")
-    max_rows = round(t_end / h)
-    if max_rows < 1 or abs(max_rows * h - t_end) > 1e-9 * t_end:
-        raise UsageError(f"step {h} does not divide t_end {t_end}")
-    return float(h), float(t_end), max_rows
+    return h, t_end, Grid.steps(h, t_end)
 
 
 def _load_problem(args) -> tuple[ProblemConfig, FDEProblem, float, float, int]:
@@ -172,7 +156,8 @@ def _load_problem(args) -> tuple[ProblemConfig, FDEProblem, float, float, int]:
     config, the problem, h, t_end and the number of steps."""
     with open(args.config) as fh:
         cfg = parse_config(fh.read())
-    return (cfg, build_problem(cfg), *_grid_params(cfg, args))
+    h, t_end = (cfg.h if args.h is None else args.h), (cfg.t_end if args.t_end is None else args.t_end)
+    return (cfg, build_problem(cfg), *_grid_params(h, t_end))
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +183,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_deriv(args) -> int:
-    h, _, max_rows = _grid_params(ProblemConfig(), args)
+    h, _, max_rows = _grid_params(args.h, args.t_end)
     fn = parse(args.expr if args.expr is not None else args.dnf)
     op = SubstitutionOperator(args.alpha, h, max_rows)
     nodes = np.arange(max_rows + 1) * h
@@ -254,25 +239,21 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    h, _, max_rows = _grid_params(ProblemConfig(), args)
+    h, _, max_rows = _grid_params(args.h, args.t_end)
     ts = np.arange(max_rows + 1) * h
     name = args.name
+    needs = {"caputo-power": ["alpha", "beta"], "mittag-leffler": ["a", "b"],
+             "relaxation": ["alpha"], "bessel-series": ["nu"]}[name]  # argparse restricts the names
+    if any(getattr(args, arg) is None for arg in needs):
+        raise UsageError(f"{name} needs " + " and ".join(f"--{arg}" for arg in needs))
     if name == "caputo-power":
-        if args.alpha is None or args.beta is None:
-            raise UsageError("caputo-power needs --alpha and --beta")
         ts = ts[1:]
         values = [oracles.caputo_power(args.alpha, args.beta, t) for t in ts]
     elif name == "mittag-leffler":
-        if args.a is None or args.b is None:
-            raise UsageError("mittag-leffler needs --a and --b")
         values = [oracles.mittag_leffler(args.a, args.b, t, args.tol) for t in ts]
     elif name == "relaxation":
-        if args.alpha is None:
-            raise UsageError("relaxation needs --alpha")
         values = [oracles.relaxation_solution(args.alpha, t) for t in ts]
-    else:  # bessel-series; argparse restricts the choices
-        if args.nu is None:
-            raise UsageError("bessel-series needs --nu")
+    else:
         sol = oracles.bessel_series(args.nu, args.n_terms)
         print(f"gamma={sol.gamma!r} radius_hint={sol.radius_hint!r}", file=sys.stderr)
         values = sol(ts)

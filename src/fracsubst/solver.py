@@ -432,19 +432,15 @@ def convergence_study(
 ) -> list[ConvergenceLevel]:
     """Max-norm error against ``oracle`` for each step in ``hs``.
 
-    Steps must be strictly decreasing and divide ``t_end``; the observed
-    order between consecutive levels is log(err_i/err_{i+1}) /
-    log(h_i/h_{i+1}).
+    Steps must be strictly decreasing, each with the grid of :meth:`~.caputo.Grid.steps`;
+    the observed order between consecutive levels is log(err_i/err_{i+1}) / log(h_i/h_{i+1}).
     """
     if any(b >= a for a, b in zip(hs, hs[1:])):
         raise ValueError("steps must be strictly decreasing")
     levels: list[ConvergenceLevel] = []
     prev: ConvergenceLevel | None = None
     for h in hs:
-        m = round(t_end / h)
-        if abs(m * h - t_end) > 1e-9 * t_end:
-            raise ValueError(f"step {h} does not divide t_end={t_end}")
-        result = solve(problem, h, m)
+        result = solve(problem, h, Grid.steps(h, t_end))
         ts = result.grid.nodes
         err = float(np.max(np.abs(result.y - np.array([oracle(t) for t in ts]))))
         order = math.nan

@@ -52,6 +52,13 @@ def test_parse_config_fields():
     assert problem.order == 2 and len(problem.terms) == 3
 
 
+def test_config_comments_start_at_a_hash_outside_quotes():
+    cfg = parse_config('# a whole line\nterm = 0.5, "1#2" # "a quoted" comment\np = "x"#\nf = "1"\n')
+    assert cfg.terms == [(0.5, "1#2")] and cfg.p == "x"
+    with pytest.raises(UsageError, match="double-quoted"):  # an unclosed quote runs to the end of its line
+        parse_config('term = 0.5, "1 # 2\n')
+
+
 def test_parse_config_errors():
     with pytest.raises(UsageError):
         parse_config("p = \"1\"\n")  # no terms
@@ -474,3 +481,20 @@ def test_system_too_large_for_memory_exits_two(capsys):
     assert main(["assemble", "--config", str(fig1), "--h", "1e-6"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("out of memory: ") and "M=5000000" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "--name", "relaxation", "--alpha", "0.5", "--h", "1e-300", "--t-end", "1e-10"],
+        ["deriv", "--alpha", "0.5", "--expr", "x", "--h", "1e-300", "--t-end", "1e-10"],
+        ["oracle", "--name", "relaxation", "--alpha", "0.5", "--h", "1e-13", "--t-end", "1"],
+    ],
+)
+def test_grid_too_fine_for_memory_is_an_argument_error(argv, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert "h=" in captured.err and "t_end=" in captured.err and captured.out == ""
+    assert not out.exists()

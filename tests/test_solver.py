@@ -155,6 +155,8 @@ def test_convergence_study_argument_checks():
         convergence_study(problem, lambda t: 0.0, [0.1, 0.2], 1.0)
     with pytest.raises(ValueError):
         convergence_study(problem, lambda t: 0.0, [0.3], 1.0)
+    with pytest.raises(ValueError, match="h=1e-300"):  # its nodes would not fit in memory
+        convergence_study(problem, lambda t: 0.0, [1e-300], 1e-10)
 
 
 def homogeneous_bessel(nu=2.0):
