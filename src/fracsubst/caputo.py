@@ -171,13 +171,13 @@ class SubstitutionOperator:
 
     From row ``steady`` = 2 ceil(n/2) + 2n + 1 on, the left-edge stencils
     with the central taps that reach below column ``a`` = ceil(n/2) + n + 1,
-    and the right-edge stencils, touch disjoint columns.  Column k >= a of
-    such a row m is then :meth:`kernel` kappa[m - k], read off row ``size``;
-    column i < a is :meth:`boundary`, row i of a fixed block convolved with
-    the trapezoid weights of nodes 0..J, J = a - 1 + ceil(n/2), down all the
-    rows at once.  :meth:`rows` returns any run of consecutive rows as one
-    new block, scattering those below ``steady`` node by node and reading
-    the rest from the kernel and the block.
+    and the right-edge stencils, touch disjoint columns.  Such a row m is
+    then :meth:`kernel` kappa[m - k] in column k >= a, read off row ``size``,
+    and :meth:`boundary` in column i < a, row i of a fixed block convolved
+    with the trapezoid weights of nodes 0..J, J = a - 1 + ceil(n/2), down a
+    run of rows at once.  :meth:`rows` returns any run of consecutive rows
+    as one new block, scattering those below ``steady`` node by node and
+    reading the rest from those two.
     :meth:`quadrature` convolves ``weights`` with the trapezoid pairs of
     samples of f^(n).  :meth:`apply_rows` takes samples of f, stencils
     first: as every edge stencil is the same from row n + 1 on, those rows
@@ -221,9 +221,9 @@ class SubstitutionOperator:
         Rows below ``steady`` are scattered node by node into their row of
         the block.  In the others column k >= a is kappa[m - k], so those
         columns of all the rows are one Toeplitz view of the kernel
-        (zero-padded on the left) times the scales, and the columns below a
-        are one batched matmul of per-row products, block times
-        :meth:`_coefficients`.  No stencil function is called for them."""
+        (zero-padded on the left) times the scales, and column i < a is
+        :meth:`boundary` of those rows times the scales.  No stencil function
+        is called for them."""
         rows = scale.size
         b1 = b0 + rows
         if not (self.n <= b0 and b1 <= self.size + 1):
@@ -236,8 +236,8 @@ class SubstitutionOperator:
         if k == rows:
             return out
         s0, a, kernel = b0 + k, self.a, self.kernel()
-        left = np.matmul(self._block, self._coefficients(s0, rows - k)[:, :, None])[:, :, 0]
-        np.multiply(left, (scale[k:] / (2.0 * self._gamma))[:, None], out=out[k:, :a])
+        for i in range(a):
+            np.multiply(self.boundary(s0, b1, i), scale[k:], out=out[k:, i])
         np.multiply(_lower_toeplitz(kernel, b1 - a)[s0 - a :], scale[k:, None], out=out[k:, a:])
         return out
 
@@ -248,28 +248,18 @@ class SubstitutionOperator:
             self._build_steady()
         return self._kernel
 
-    def boundary(self, m0: int, i: int) -> np.ndarray:
-        """Column i < a of the steady rows m0..size at scale 1, a new array of
-        size - m0 + 1 values: row i of the block against the trapezoid weights
-        of nodes 0..J, one convolution with J + 1 taps.  Its sums may round
-        apart from :meth:`rows`' per-row products in the last bit."""
-        if not (self.steady <= m0 <= self.size and 0 <= i < self.a):
+    def boundary(self, m0: int, m1: int, i: int) -> np.ndarray:
+        """Column i < a of the steady rows m0..m1-1 at scale 1, a new array of
+        m1 - m0 values: row i of the block against the trapezoid weights of
+        nodes 0..J, one convolution with J + 1 taps over those rows only."""
+        if not (self.steady <= m0 < m1 <= self.size + 1 and 0 <= i < self.a):
             raise ValueError(
-                f"column {i} of rows {m0}..{self.size} is not below {self.a} in steady rows {self.steady}..{self.size}"
+                f"column {i} of rows {m0}..{m1 - 1} is not below {self.a} in steady rows {self.steady}..{self.size}"
             )
         self.kernel()  # builds the block
         v = self._block[i]
-        pairs = self._pair[m0 - v.size + 1 : self.size]  # pair[m - J] .. pair[m - 1] of every row m
-        return (self.weights[m0:] * v[0] + np.convolve(pairs, v[1:], "valid")) / (2.0 * self._gamma)
-
-    def _coefficients(self, m0: int, rows: int) -> np.ndarray:
-        """[weights[m], pair[m-1], ..., pair[m-J]], the trapezoid weights of
-        nodes 0..J in steady row m, for m = m0..m0+rows-1: a new (rows, J+1) array."""
-        jn = self._block.shape[1]
-        coef = np.empty((rows, jn))
-        coef[:, 0] = self.weights[m0 : m0 + rows]
-        coef[:, 1:] = sliding_window_view(self._pair, jn - 1)[m0 - jn + 1 : m0 + rows - jn + 1, ::-1]
-        return coef
+        pairs = self._pair[m0 - v.size + 1 : m1 - 1]  # pair[m - J] .. pair[m - 1] of every row m
+        return (self.weights[m0:m1] * v[0] + np.convolve(pairs, v[1:], "valid")) / (2.0 * self._gamma)
 
     def _build_steady(self) -> None:
         """The kernel, row ``size`` by the scatter read from its diagonal

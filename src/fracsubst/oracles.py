@@ -42,20 +42,26 @@ def caputo_power(alpha: float, beta: float, t: float) -> float:
 
     Returns 0 for integer beta below ceil(alpha) (polynomials killed by the
     inner classical derivative).  Raises for beta - alpha + 1 at a gamma
-    pole, where the rule is undefined.  The Gamma ratio is taken directly,
-    or through lgamma where Gamma(beta + 1) alone would overflow.
+    pole, where the rule is undefined, for a t that is negative or not
+    finite, and at t = 0 for beta < alpha, where the value is singular.  The
+    Gamma ratio is taken directly, or through lgamma where Gamma(beta + 1)
+    alone would overflow.
     """
     alpha, beta, t = float(alpha), float(beta), float(t)
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be finite and positive, got {alpha!r}")
     if not (math.isfinite(beta) and beta >= 0):
         raise ValueError(f"beta must be finite and nonnegative, got {beta!r}")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"evaluation point t must be finite and nonnegative, got t={t!r}")
     n = math.ceil(alpha)
     if beta == int(beta) and beta < n:
         return 0.0
     denom_arg = beta - alpha + 1.0
     if denom_arg <= 0 and denom_arg == int(denom_arg):
         raise ValueError(f"gamma pole at {denom_arg}: power rule undefined")
+    if t == 0.0 and beta < alpha:
+        raise ValueError(f"D^{alpha!r} t^{beta!r} is singular at t=0.0 (beta < alpha)")
     try:
         ratio = math.gamma(beta + 1.0) / math.gamma(denom_arg)
     except OverflowError:  # Gamma(beta + 1) is past the float range for beta > 170.6, the ratio need not be
@@ -75,11 +81,11 @@ def mittag_leffler(a: float, b: float, z: float, tol: float = 1e-12) -> float:
     """E_{a,b}(z) = sum_k z^k / Gamma(a k + b), truncated adaptively.
 
     Summation stops once |term| < tol * |partial sum| holds for three
-    consecutive terms.  Real z with |z| <= 50 (series regime).
+    consecutive terms.  Real z with |z| <= 50 (series regime), tol > 0.
     """
     a, b, z, tol = float(a), float(b), float(z), float(tol)
-    if not (math.isfinite(a) and a > 0 and math.isfinite(b) and math.isfinite(tol)):
-        raise ValueError(f"need a finite a > 0, b and tol, got a={a!r}, b={b!r}, tol={tol!r}")
+    if not (math.isfinite(a) and a > 0 and math.isfinite(b) and math.isfinite(tol) and tol > 0):
+        raise ValueError(f"need a finite a > 0, b and tol > 0, got a={a!r}, b={b!r}, tol={tol!r}")
     if not abs(z) <= 50:
         raise ValueError(f"|z| > 50 is outside the series regime, got z={z!r}")
     if z == 0.0:
@@ -121,8 +127,8 @@ def relaxation_solution(alpha: float, t: float) -> float:
     alpha, t = float(alpha), float(t)
     if not 0 < alpha < 2:
         raise ValueError("relaxation closed form covers 0 < alpha < 2")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and nonnegative, got t={t!r}")
     if t == 0.0:
         return 0.0
     return t**alpha * mittag_leffler(alpha, alpha + 1.0, -(t**alpha))
@@ -146,7 +152,7 @@ class SeriesSolution:
 
     c_0 = 1 by normalization.  ``radius_hint`` is the largest x for which
     the truncation tail is estimated below 1e-8; values beyond it lose
-    accuracy to the dropped tail.
+    accuracy to the dropped tail.  Every x must be finite and nonnegative.
     """
 
     gamma: float
@@ -160,6 +166,9 @@ class SeriesSolution:
         xs = np.asarray(x, dtype=float)
         scalar = xs.ndim == 0
         xs = np.atleast_1d(xs)
+        bad = xs[~(np.isfinite(xs) & (xs >= 0))]
+        if bad.size:
+            raise ValueError(f"x must be finite and nonnegative, got x={float(bad[0])!r}")
         out = np.zeros_like(xs)
         positive = xs > 0
         if np.any(positive):

@@ -255,7 +255,7 @@ class _Tail:
             d = sum(q * op.kernel()[0] for op, q in zip(self.ops, self.qs))
             # per term |q| times the boundary and prefix sums of |kappa|: exact for one term
             self.offdiag = sum(
-                np.abs(q) * sum(np.abs(op.boundary(b, i)) for i in range(op.a))
+                np.abs(q) * sum(np.abs(op.boundary(b, max_rows + 1, i)) for i in range(op.a))
                 + np.abs(q) * np.cumsum(np.abs(op.kernel()[1 : max_rows - op.a + 1]))[b - op.a - 1 :]
                 for op, q in zip(self.ops, self.qs)
             )
@@ -284,7 +284,7 @@ class _Tail:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, by its row
             c = self.f.copy()  # f_m less the part of row m's sum known so far
             for op, q in zip(self.ops, self.qs):
-                c -= q * sum(y[i] * op.boundary(b, i) for i in range(op.a))
+                c -= q * sum(y[i] * op.boundary(b, total, i) for i in range(op.a))
                 c -= q * self._history(y[op.a : b], op.kernel(), total - b)
                 self.madds += op.a * (total - b)
             for j in range(-(-(stop - b) // BLOCK_ROWS)):

@@ -271,7 +271,7 @@ def test_rows_below_order_three_are_pinned():
             b1 = min(b0 + 64, 301)
             out = op.rows(b0, np.ones(b1 - b0))
             digest.update(out.tobytes() + (np.arange(b0, b1) == op.n).tobytes())
-    assert digest.hexdigest() == "e3485e403fd11474240154398b0fe964f303e6a315b7769c1c8d0af23368b0f1"
+    assert digest.hexdigest() == "37c6d300d65566d9041087fea7126f988c65bd1a6757ffbcaa3197c816ff10be"
 
 
 @pytest.mark.parametrize("alpha", [0.6, 1.5, 2.4])
@@ -432,21 +432,30 @@ def test_block_straddling_steady_equals_the_stacked_rows(alpha):
 def test_boundary_columns_take_steady_rows_only(alpha):
     op = SubstitutionOperator(alpha, 0.05, 40)
     for i in range(op.a):
-        assert op.boundary(op.steady, i).shape == (op.size - op.steady + 1,)
-        assert op.boundary(op.size, i).shape == (1,)
-    for m0, i in ((op.steady - 1, 0), (op.size + 1, 0), (op.steady, op.a), (op.steady, -1)):
-        with pytest.raises(ValueError, match=rf"column {i} of rows {m0}\.\.40 is not below {op.a} in steady rows {op.steady}\.\.40$"):
-            op.boundary(m0, i)
+        full = op.boundary(op.steady, op.size + 1, i)
+        assert full.shape == (op.size - op.steady + 1,)
+        assert op.boundary(op.size, op.size + 1, i).shape == (1,)
+        assert np.array_equal(op.boundary(op.steady + 3, op.steady + 9, i), full[3:9])
+    bad = [(op.steady - 1, 41, 0), (op.size + 1, 41, 0), (op.steady, 41, op.a), (op.steady, 41, -1)]
+    bad += [(op.steady, op.steady, 0), (op.steady + 2, op.steady + 1, 0), (op.steady, 42, 0)]  # m1 <= m0, m1 = size + 2
+    for m0, m1, i in bad:
+        with pytest.raises(
+            ValueError, match=rf"column {i} of rows {m0}\.\.{m1 - 1} is not below {op.a} in steady rows {op.steady}\.\.40$"
+        ):
+            op.boundary(m0, m1, i)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.5, 2.5, 4.5])
-def test_boundary_columns_from_one_matrix_product_match_the_row_products(alpha):
-    # the columns the solver takes past its start block, one convolution each, against the columns below a
-    # of rows() in 256-row blocks, one product per row: the same columns to the rounding of a row
+def test_boundary_columns_match_the_rows_scattered_node_by_node(alpha):
+    # the columns rows() and the solver read past steady, one convolution each, against the columns below a of
+    # the first and last 300 steady rows scattered node by node: the same columns to the rounding of a row
     size = 2 * 4096 + 100
     op = SubstitutionOperator(alpha, 5 / size, size)
-    scale = np.linspace(1.0, 3.0, op.size - op.steady + 1)
-    columns = np.stack([op.boundary(op.steady, i) for i in range(op.a)], axis=1) * scale[:, None]
-    rows = np.concatenate([op.rows(op.steady + i, scale[i : i + 256])[:, : op.a] for i in range(0, scale.size, 256)])
-    assert columns.shape == rows.shape
-    assert np.all(np.abs(columns - rows) <= 1e-15 * np.abs(rows).max(axis=1, keepdims=True))
+    ms = np.r_[op.steady : op.steady + 300, size - 299 : size + 1]
+    scattered = np.empty((ms.size, op.a))
+    for r, m in enumerate(ms):
+        d = np.zeros(m + 1)
+        op._scatter(m, 1.0, d)
+        scattered[r] = d[: op.a]
+    columns = np.stack([op.boundary(op.steady, size + 1, i)[ms - op.steady] for i in range(op.a)], axis=1)
+    assert np.all(np.abs(columns - scattered) <= 1e-15 * np.abs(scattered).max(axis=1, keepdims=True))

@@ -325,6 +325,7 @@ def test_solve_above_order_two_stays_bounded(tmp_path, capsys):
         ["assemble", "--m", "1"],  # row 1 of an order-2 problem is in the prefix
         ["solve", "--config", RELAX_CFG + "h = 0.25\n"],  # a repeated config key
         ["solve", "--h", "5e-324"],  # t_end / h overflows
+        ["oracle", "--name", "mittag-leffler", "--a", "0.5", "--b", "1", "--tol", "-1", "--h", "1", "--t-end", "1"],
     ],
 )
 def test_argument_errors_exit_one_with_one_line(argv, relax_cfg, tmp_path, capsys):

@@ -45,6 +45,19 @@ def test_power_rule_rejects_gamma_pole():
         caputo_power(-0.5, 1.0, 1.0)
 
 
+def test_power_rule_argument_checks():
+    for t in (-1.0, math.nan, math.inf):
+        for beta in (1.0, 0):  # the power rule's zero takes no such t either
+            with pytest.raises(ValueError, match=rf"t must be finite and nonnegative, got t={t!r}$"):
+                caputo_power(0.5, beta, t)
+    for alpha, beta in ((0.5, 0.3), (1.5, 1.2)):  # beta < alpha: singular at t = 0
+        with pytest.raises(ValueError, match=rf"^D\^{alpha} t\^{beta} is singular at t=0\.0"):
+            caputo_power(alpha, beta, 0.0)
+    # not singular at t = 0: the constant Gamma(beta + 1) at beta = alpha, and the power rule's zero
+    assert caputo_power(0.5, 0.5, 0.0) == math.gamma(1.5)
+    assert caputo_power(0.5, 1.0, 0.0) == 0.0 and caputo_power(1.5, 1, 0.0) == 0.0
+
+
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.5])
 @pytest.mark.parametrize("beta", [1, 2, 3])
 def test_power_rule_agrees_with_substitution_quadrature(alpha, beta):
@@ -88,6 +101,9 @@ def test_mittag_leffler_regime_checks():
         mittag_leffler(1.0, 1.0, 51.0)
     with pytest.raises(ValueError):
         mittag_leffler(0.0, 1.0, 1.0)
+    for tol in (-1.0, 0.0, math.nan):
+        with pytest.raises(ValueError, match=rf"tol={tol!r}$"):
+            mittag_leffler(0.5, 1.0, 1.0, tol)
     with pytest.raises(ConvergenceError):
         mittag_leffler(0.05, 1.0, 40.0)
     with pytest.raises(ConvergenceError, match="did not settle"):
@@ -120,8 +136,9 @@ def test_relaxation_value_verified_by_power_rule_residual():
 def test_relaxation_argument_checks():
     with pytest.raises(ValueError):
         relaxation_solution(2.5, 1.0)
-    with pytest.raises(ValueError):
-        relaxation_solution(1.5, -1.0)
+    for t in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=rf"^t must be finite and nonnegative, got t={t!r}$"):
+            relaxation_solution(0.5, t)
 
 
 def test_bessel_indicial_roots_vs_published_digits():
@@ -187,6 +204,10 @@ def test_bessel_argument_checks():
         bessel_series(2.0, 0)
     with pytest.raises(ValueError, match=r"^indicial root not bracketed "):
         bessel_series(1e6)
+    sol = bessel_series(2.0, 50)
+    for x in (-1.0, math.nan, math.inf, [0.5, -1e-300, 1.0]):
+        with pytest.raises(ValueError, match=r"^x must be finite and nonnegative, got x="):
+            sol(x)
 
 
 def test_bessel_indicial_root_to_float_resolution():

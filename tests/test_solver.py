@@ -502,6 +502,17 @@ def test_solve_above_order_two_is_as_close_to_the_oracle_as_the_dense_eliminatio
     assert abs(got - dense) <= 0.05 * dense, (got, dense)
 
 
+@pytest.mark.xfail(raises=AssertionError, reason="ROADMAP item 1: for n >= 3 the error of solve grows with M on long grids")
+@pytest.mark.parametrize("alpha", [2.9, 3.5, 4.5])
+def test_solve_above_order_two_converges_on_long_grids(alpha):
+    # D^alpha y + y = 1 on [0, 1], zero data: the max error on t = k/256 must fall from each M to the next
+    problem = FDEProblem((DerivativeTerm(alpha, ONE),), ONE, ONE, (0.0,) * math.ceil(alpha))
+    ts = np.arange(257) / 256
+    exact = np.array([t**alpha * mittag_leffler(alpha, alpha + 1.0, -(t**alpha)) for t in ts])
+    errors = [np.max(np.abs(solve(problem, 1.0 / m, m).y[:: m // 256] - exact)) for m in (2**12, 2**14, 2**16)]
+    assert errors[0] > errors[1] > errors[2], errors
+
+
 def memory_problem(name):
     if name == "relaxation":
         return FDEProblem((DerivativeTerm(1.5, ONE),), ONE, ONE, (0.0, 0.0))
