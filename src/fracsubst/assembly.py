@@ -10,9 +10,9 @@ system is
 
 The d_k are sum_l q_l(x_m) times row m of the term's
 :class:`~.caputo.SubstitutionOperator` (stencil weight x trapezoid pair
-weight).  q_l, p and f are evaluated once each, on the array of row times
-when they are :class:`~.expr.Expression` trees and point by point
-otherwise; f is never evaluated at t = 0.
+weight).  q_l, p and f are evaluated once each on the row times, by
+:func:`~.expr._on_points`: one array call for an :class:`~.expr.Expression`
+tree, point by point for any other callable; f is never evaluated at t = 0.
 
 Rows are built in blocks of ``BLOCK_ROWS`` consecutive rows m = b0..b1-1,
 the first block starting at row r: each term returns its rows as one
@@ -51,7 +51,7 @@ from typing import Callable
 import numpy as np
 
 from .caputo import FracOrder, SubstitutionOperator, _physical_memory
-from .expr import Expression
+from .expr import _on_points
 
 BLOCK_ROWS = 64  # rows are built this many at a time
 
@@ -145,14 +145,6 @@ class AssembledRow:
             raise ValueError(f"non-finite coefficients, p or f in row {self.m}")
 
 
-def _on_rows(fn: Callable[[float], float], ms: range, h: float) -> np.ndarray:
-    """fn(m h) for m in ``ms``: one call on the array of row times for an
-    :class:`~.expr.Expression`, point by point for any other callable."""
-    if isinstance(fn, Expression):
-        return fn(np.arange(ms.start, ms.stop) * h)
-    return np.array([float(fn(m * h)) for m in ms])
-
-
 def _check_rows(m0: int, offdiag: np.ndarray, diag: np.ndarray, data: list[np.ndarray]) -> None:
     """Raise for the first row m = m0 + i with a value that is not finite
     among its ``data`` (each q_l, p and f), ``offdiag[i]`` and ``diag[i]``:
@@ -167,8 +159,9 @@ def _check_rows(m0: int, offdiag: np.ndarray, diag: np.ndarray, data: list[np.nd
 
 def _assemble(problem: FDEProblem, h: float, ms: range) -> list[AssembledRow]:
     ops = [SubstitutionOperator(term.alpha, h, ms[-1]) for term in problem.terms]
-    qs = [_on_rows(term.coefficient, ms, h) for term in problem.terms]
-    p, f = _on_rows(problem.p, ms, h), _on_rows(problem.f, ms, h)
+    ts = np.arange(ms.start, ms.stop) * h
+    qs = [_on_points(term.coefficient, ts) for term in problem.terms]
+    p, f = _on_points(problem.p, ts), _on_points(problem.f, ts)
     rows = []
     for b0 in range(ms.start, ms.stop, BLOCK_ROWS):
         b1 = min(b0 + BLOCK_ROWS, ms.stop)

@@ -23,6 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .expr import Expression, _on_points
 from .stencils import central, node_weights
 
 __all__ = [
@@ -136,14 +137,16 @@ def substitution_weights(nodes: np.ndarray, exponent: float) -> np.ndarray:
 
 
 def caputo_substitution(
-    dnf: Callable[[float], float],
+    dnf: Callable[[float], float] | Expression,
     order: FracOrder | float,
     grid: Grid | Sequence[float],
 ) -> float:
     """Caputo derivative of f at t = x_m from its n-th classical derivative.
 
-    ``dnf`` must be evaluable on [0, t].  Error is O(h_max**(n - alpha + 1))
-    for smooth f.  The products are accumulated with exact (compensated)
+    ``dnf`` must be evaluable on [0, t]; it is evaluated on the grid's nodes,
+    by one array call for an :class:`~.expr.Expression` and point by point
+    for any other callable.  Error is O(h_max**(n - alpha + 1)) for smooth
+    f.  The products are accumulated with exact (compensated)
     summation, taken from the singular end k = m down to k = 1; a value
     that is not finite raises ``OverflowError``.
     """
@@ -151,7 +154,7 @@ def caputo_substitution(
     grid = _as_grid(grid)
     n, alpha = order.n, order.alpha
     w = substitution_weights(grid.nodes, n - alpha)
-    g = np.array([dnf(x) for x in grid.nodes], dtype=float)
+    g = _on_points(dnf, grid.nodes)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
         pairs = (0.5 * g[:-1] + 0.5 * g[1:]) * w  # halved first, so that finite values near the largest float add
     value = math.fsum(pairs[::-1]) / math.gamma(n + 1 - alpha) if np.all(np.isfinite(pairs)) else math.nan

@@ -14,22 +14,22 @@ immutable syntax trees.  Grammar (loosest to tightest binding):
 functions: exp, ln, sin, cos, sqrt, abs, gamma.  There is no implicit
 multiplication: ``2x`` is a syntax error.
 
-An expression called on a float walks its tree once with :mod:`math`
-functions and returns a float.  Called on a numpy array of points, it walks
-the tree once for the whole array with the numpy counterparts (gamma still
-goes point by point) and returns an array of the same shape; each node's
-result is checked for finiteness, and the first point where one is not
-finite raises :class:`DomainError` naming the sub-expression and that point.
-Values on arrays may differ from the scalar ones in the last bit, where numpy
-and :mod:`math` round differently (exp, pow).
+An expression is evaluated by one walk of its tree with numpy functions
+(gamma still goes point by point), on a copy of its argument: called on an
+array of points it returns a new array of the same shape, called on one
+point (a float, an int or a numpy scalar) a float.  Each node's result is
+checked for finiteness, and the first point where one is not finite raises
+:class:`DomainError` naming the sub-expression and that point.  A call on
+one point costs one numpy pass over the tree, as a whole array does, so
+evaluate many points in one array call, as :func:`_on_points` does.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -46,19 +46,7 @@ __all__ = [
     "parse",
 ]
 
-FUNCTIONS = {
-    "exp": math.exp,
-    "ln": math.log,
-    "sin": math.sin,
-    "cos": math.cos,
-    "sqrt": math.sqrt,
-    "abs": abs,
-    "gamma": math.gamma,
-}
-
 VARIABLE_NAMES = ("x", "t")
-
-BINARY_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": math.pow}
 
 
 def _gamma_or_nan(v: float) -> float:
@@ -68,8 +56,8 @@ def _gamma_or_nan(v: float) -> float:
         return math.nan
 
 
-# the same functions and operators on arrays; results outside a domain come back non-finite
-ARRAY_FUNCTIONS = {
+# the functions and operators of the grammar; results outside a domain come back non-finite
+FUNCTIONS = {
     "exp": np.exp,
     "ln": np.log,
     "sin": np.sin,
@@ -79,7 +67,7 @@ ARRAY_FUNCTIONS = {
     "gamma": np.vectorize(_gamma_or_nan, otypes=[float]),
 }
 
-ARRAY_OPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.true_divide, "^": np.power}
+OPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.true_divide, "^": np.power}
 
 
 class ParseError(ValueError):
@@ -111,21 +99,18 @@ class Expression:
     and evaluated concurrently.
     """
 
-    def eval(self, v: float) -> float:
-        raise NotImplementedError
-
     def _values(self, v: np.ndarray) -> np.ndarray:
         """Values at every point of the float array ``v``, same shape; call
         under ``np.errstate(all="ignore")``, failures are checked per node."""
         raise NotImplementedError
 
     def __call__(self, v):
-        """Value at ``v`` taken as a Python float (so a numpy scalar meets the
-        :mod:`math` path's checks), or values at every point of the array ``v``."""
-        if isinstance(v, np.ndarray):
-            with np.errstate(all="ignore"):
-                return self._values(np.asarray(v, dtype=float))
-        return self.eval(float(v))
+        """Values at every point of the array ``v``, as a new array of its
+        shape, or the value at the one point ``v`` as a float."""
+        x = np.array(v, dtype=float)  # a copy, so that no result is the caller's array
+        with np.errstate(all="ignore"):
+            values = np.asarray(self._values(x))
+        return values if isinstance(v, np.ndarray) else float(values)
 
     def _precedence(self) -> int:
         return _PREC_ATOM
@@ -134,9 +119,6 @@ class Expression:
 @dataclass(frozen=True)
 class Num(Expression):
     value: float
-
-    def eval(self, v: float) -> float:
-        return self.value
 
     def _values(self, v: np.ndarray) -> np.ndarray:
         return np.full(v.shape, self.value)
@@ -147,9 +129,6 @@ class Num(Expression):
 
 @dataclass(frozen=True)
 class Var(Expression):
-    def eval(self, v: float) -> float:
-        return v
-
     def _values(self, v: np.ndarray) -> np.ndarray:
         return v
 
@@ -160,9 +139,6 @@ class Var(Expression):
 @dataclass(frozen=True)
 class Neg(Expression):
     operand: Expression
-
-    def eval(self, v: float) -> float:
-        return -self.operand.eval(v)
 
     def _values(self, v: np.ndarray) -> np.ndarray:
         return -self.operand._values(v)
@@ -180,23 +156,10 @@ class BinOp(Expression):
     left: Expression
     right: Expression
 
-    def eval(self, v: float) -> float:
-        a = self.left.eval(v)
-        b = self.right.eval(v)
-        try:
-            result = BINARY_OPS[self.op](a, b)
-        except ZeroDivisionError as exc:
-            raise DomainError(f"division by zero in '{self}'") from exc
-        except (ValueError, OverflowError) as exc:
-            raise DomainError(f"'{self}' undefined at {a!r}, {b!r}") from exc
-        if not math.isfinite(result):
-            raise DomainError(f"'{self}' is not finite at {a!r}, {b!r}")
-        return result
-
     def _values(self, v: np.ndarray) -> np.ndarray:
         a = self.left._values(v)
         b = self.right._values(v)
-        result = ARRAY_OPS[self.op](a, b)
+        result = OPS[self.op](a, b)
         i = _first_non_finite(result)
         if i is not None:
             raise DomainError(
@@ -224,16 +187,9 @@ class Call(Expression):
     func: str
     arg: Expression
 
-    def eval(self, v: float) -> float:
-        a = self.arg.eval(v)
-        try:
-            return FUNCTIONS[self.func](a)
-        except (ValueError, OverflowError) as exc:
-            raise DomainError(f"{self.func}({a!r}) undefined") from exc
-
     def _values(self, v: np.ndarray) -> np.ndarray:
         a = self.arg._values(v)
-        result = ARRAY_FUNCTIONS[self.func](a)
+        result = FUNCTIONS[self.func](a)
         i = _first_non_finite(result)
         if i is not None:
             raise DomainError(f"{self.func}({float(a.flat[i])!r}) undefined at x={float(v.flat[i])!r}")
@@ -373,3 +329,11 @@ def parse(text: str) -> Expression:
     if not text or not text.strip():
         raise ParseError("empty expression", 0)
     return _Parser(text).parse()
+
+
+def _on_points(fn: Callable[[float], float], ts: np.ndarray) -> np.ndarray:
+    """fn at every point of the float array ``ts``: one array call for an
+    :class:`Expression`, one call per point for any other callable."""
+    if isinstance(fn, Expression):
+        return fn(ts)
+    return np.array([float(fn(t)) for t in ts.tolist()])

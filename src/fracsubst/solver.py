@@ -56,8 +56,9 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import conditioning
-from .assembly import BLOCK_ROWS, AssembledRow, FDEProblem, _check_rows, _on_rows, assemble_system
+from .assembly import BLOCK_ROWS, AssembledRow, FDEProblem, _check_rows, assemble_system
 from .caputo import Grid, SubstitutionOperator, _lower_toeplitz, _steady_row
+from .expr import Expression, _on_points
 
 __all__ = [
     "SolveResult",
@@ -246,11 +247,11 @@ class _Tail:
     whose values are not finite, to name its first failing row."""
 
     def __init__(self, problem: FDEProblem, h: float, b: int, max_rows: int):
-        ms = range(b, max_rows + 1)
-        self.ops = [SubstitutionOperator(term.alpha, h, max_rows) for term in problem.terms]
-        self.qs = [_on_rows(term.coefficient, ms, h) for term in problem.terms]
-        p, f = _on_rows(problem.p, ms, h), _on_rows(problem.f, ms, h)
         self.ms = np.arange(b, max_rows + 1)
+        ts = self.ms * h
+        self.ops = [SubstitutionOperator(term.alpha, h, max_rows) for term in problem.terms]
+        self.qs = [_on_points(term.coefficient, ts) for term in problem.terms]
+        p, f = _on_points(problem.p, ts), _on_points(problem.f, ts)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, by its row
             d = sum(q * op.kernel()[0] for op, q in zip(self.ops, self.qs))
             # per term |q| times the boundary and prefix sums of |kappa|: exact for one term
@@ -426,12 +427,14 @@ class ConvergenceLevel(NamedTuple):
 
 def convergence_study(
     problem: FDEProblem,
-    oracle: Callable[[float], float],
+    oracle: Callable[[float], float] | Expression,
     hs: Sequence[float],
     t_end: float,
 ) -> list[ConvergenceLevel]:
     """Max-norm error against ``oracle`` for each step in ``hs``.
 
+    ``oracle`` is evaluated on each level's nodes, by one array call for an
+    :class:`~.expr.Expression` and point by point for any other callable.
     Steps must be strictly decreasing, each with the grid of :meth:`~.caputo.Grid.steps`;
     the observed order between consecutive levels is log(err_i/err_{i+1}) / log(h_i/h_{i+1}).
     """
@@ -441,8 +444,7 @@ def convergence_study(
     prev: ConvergenceLevel | None = None
     for h in hs:
         result = solve(problem, h, Grid.steps(h, t_end))
-        ts = result.grid.nodes
-        err = float(np.max(np.abs(result.y - np.array([oracle(t) for t in ts]))))
+        err = float(np.max(np.abs(result.y - _on_points(oracle, result.grid.nodes))))
         order = math.nan
         if prev is not None and err > 0:
             order = math.log(prev.max_error / err) / math.log(prev.h / h)

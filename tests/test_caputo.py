@@ -16,6 +16,7 @@ from fracsubst.caputo import (
     riemann_liouville,
     substitution_weights,
 )
+from fracsubst.expr import parse
 from fracsubst.oracles import caputo_power
 from fracsubst.stencils import node_weights
 
@@ -93,6 +94,13 @@ def test_linearity():
     d_g = caputo_substitution(math.cos, alpha, grid)
     combined = caputo_substitution(lambda x: 2.0 * 3 * x**2 - 0.5 * math.cos(x), alpha, grid)
     assert combined == pytest.approx(2.0 * d_f - 0.5 * d_g, rel=1e-12, abs=1e-12)
+
+
+def test_expression_derivative_matches_the_callable_on_a_graded_grid():
+    # an Expression is evaluated by one array call on the nodes, a callable once per node
+    grid = Grid((np.arange(65) / 64.0) ** 2)
+    expected = caputo_substitution(lambda x: 3 * x**2, 0.5, grid)
+    assert caputo_substitution(parse("3*x^2"), 0.5, grid) == pytest.approx(expected, rel=1e-15, abs=0)
 
 
 def test_weights_positive_monotone_and_bounded():

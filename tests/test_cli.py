@@ -7,7 +7,7 @@ import pytest
 
 from fracsubst.assembly import DerivativeTerm, FDEProblem, assemble_row, assemble_system
 from fracsubst.cli import UsageError, build_problem, main, parse_config
-from fracsubst.expr import parse
+from fracsubst.expr import Expression, parse
 from fracsubst.oracles import bessel_series, caputo_power
 from fracsubst.solver import solve
 
@@ -165,6 +165,20 @@ def test_converge_table(tmp_path):
     rows = [line.split(",") for line in lines[1:]]
     assert len(rows) == 3
     assert float(rows[2][2]) > 1.3
+
+
+def test_converge_evaluates_the_exact_solution_once_per_level(relax_cfg, tmp_path, monkeypatch):
+    calls, exact, call = [], str(parse("x^2")), Expression.__call__
+
+    def counting(self, v):
+        if str(self) == exact:  # the --exact tree; no expression of the config prints so
+            calls.append(np.shape(v))
+        return call(self, v)
+
+    monkeypatch.setattr(Expression, "__call__", counting)
+    out = tmp_path / "conv.csv"
+    assert main(["converge", "--config", relax_cfg, "--exact", "x^2", "--levels", "3", "--out", str(out)]) == 0
+    assert calls == [(17,), (33,), (65,)]
 
 
 def test_deriv_sampled_and_exact(tmp_path):
@@ -404,7 +418,7 @@ def test_step_too_small_for_the_order_exits_one(argv, tmp_path, capsys):
 
 def test_converge_exact_solution_outside_its_domain_exits_two_with_one_line(relax_cfg, capsys):
     assert main(["converge", "--config", relax_cfg, "--exact", "1/(t-1)", "--levels", "1"]) == 2
-    assert capsys.readouterr().err == "numerical failure: division by zero in '1.0/(x-1.0)'\n"
+    assert capsys.readouterr().err == "numerical failure: '1.0/(x-1.0)' is not finite at x=1.0 (operands 1.0, 0.0)\n"
 
 
 def test_deriv_evaluates_the_expression_on_the_whole_grid(capsys):
